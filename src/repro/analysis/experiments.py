@@ -22,6 +22,7 @@ recorded in the result's notes.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -694,7 +695,7 @@ def ablation_aging(profile: Profile) -> ExperimentResult:
                 n=profile.n,
                 capacity=c,
                 lam=lam,
-                rng=_point_seed(profile, 130, used_exp, hash(order) % 97),
+                rng=_point_seed(profile, 130, used_exp, zlib.crc32(order.encode()) % 97),
                 initial_pool=warm,
                 acceptance_order=order,
             )

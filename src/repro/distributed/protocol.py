@@ -207,6 +207,11 @@ def connect_broker(
     claim, not a DNS name.
     """
     sock = socket.create_connection((host, port), timeout=timeout)
+    # Frames are small, each is written whole by one sendall, and the
+    # lease loop is request/response. With Nagle on, a worker's `lease`
+    # sent right after `complete` waits for the broker's delayed ACK
+    # (~40 ms on Linux) before it leaves the host: a stall on every task.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     if tls_ca is not None:
         import ssl
 

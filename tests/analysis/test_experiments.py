@@ -5,8 +5,14 @@ registry mechanics and run the cheapest experiments at a tiny ad-hoc
 profile to validate row structure and claim checks.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.experiments import (
     EXPERIMENTS,
     PROFILES,
@@ -102,3 +108,24 @@ class TestTinyRuns:
     def test_meanfield_validation_tiny(self):
         result = run_experiment("meanfield_validation", TINY)
         assert {row["c"] for row in result.rows} == {1, 2, 4}
+
+
+class TestInterpreterIndependence:
+    def test_ablation_aging_csv_ignores_the_string_hash_seed(self):
+        # Built-in str hashing is salted per interpreter start; a seed
+        # derived from it would make the CSV differ from run to run.
+        script = (
+            "from repro.analysis.experiments import Profile, run_experiment\n"
+            "profile = Profile(name='tiny', n=256, measure=60, replicates=1)\n"
+            "print(run_experiment('ablation_aging', profile).csv())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        csvs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            csvs.append(proc.stdout)
+        assert csvs[0] == csvs[1]

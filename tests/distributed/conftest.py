@@ -5,11 +5,14 @@ its own asyncio loop in a background thread, bound to an ephemeral
 localhost port; ``stub_worker`` attaches an in-thread worker whose task
 function the test controls, so broker semantics (leases, retries,
 dedup, re-leases) can be exercised without paying for real simulations.
+``certs`` mints a self-signed certificate for the TLS transport tests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import shutil
+import subprocess
 import threading
 import time
 
@@ -91,3 +94,27 @@ def stub_worker():
     for worker, thread in entries:
         worker._stop = True
         thread.join(timeout=5.0)
+
+
+@pytest.fixture(scope="session")
+def certs(tmp_path_factory):
+    """Self-signed cert via the stdlib-adjacent openssl binary.
+
+    Skips when no openssl is available — the TLS path is optional and
+    the HMAC tests cover the auth logic itself.
+    """
+    if shutil.which("openssl") is None:
+        pytest.skip("openssl binary not available")
+    directory = tmp_path_factory.mktemp("tls")
+    cert, key = directory / "cert.pem", directory / "key.pem"
+    proc = subprocess.run(
+        [
+            "openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes",
+            "-keyout", str(key), "-out", str(cert), "-days", "1",
+            "-subj", "/CN=repro-broker",
+        ],
+        capture_output=True,
+    )
+    if proc.returncode != 0:
+        pytest.skip(f"openssl could not mint a cert: {proc.stderr.decode()[:200]}")
+    return cert, key

@@ -144,32 +144,6 @@ class TestNoUnauthenticatedFrames:
 
 
 class TestTlsTransport:
-    @pytest.fixture(scope="class")
-    def certs(self, tmp_path_factory):
-        """Self-signed cert via the stdlib-adjacent openssl binary.
-
-        Skips when no openssl is available — the TLS path is optional and
-        the HMAC tests above cover the auth logic itself.
-        """
-        import shutil
-        import subprocess
-
-        if shutil.which("openssl") is None:
-            pytest.skip("openssl binary not available")
-        directory = tmp_path_factory.mktemp("tls")
-        cert, key = directory / "cert.pem", directory / "key.pem"
-        proc = subprocess.run(
-            [
-                "openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes",
-                "-keyout", str(key), "-out", str(cert), "-days", "1",
-                "-subj", "/CN=repro-broker",
-            ],
-            capture_output=True,
-        )
-        if proc.returncode != 0:
-            pytest.skip(f"openssl could not mint a cert: {proc.stderr.decode()[:200]}")
-        return cert, key
-
     def test_tls_fleet_completes_a_sweep(self, make_broker, stub_worker, certs):
         cert, key = certs
         broker = make_broker(auth_token=TOKEN, tls_cert=cert, tls_key=key)
