@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.meanfield import _arrival_pmf, bin_transition_matrix, equilibrium
+from repro.core.meanfield import (
+    _arrival_pmf,
+    _expected_accepts,
+    bin_transition_matrix,
+    equilibrium,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["FluidTrajectory", "integrate", "relaxation_rounds"]
@@ -68,15 +73,6 @@ class FluidTrajectory:
             if (value <= pool_level) if from_above else (value >= pool_level):
                 return t
         return None
-
-
-def _step_accept_rate(load_dist: np.ndarray, intensity: float, c: int) -> float:
-    pmf = _arrival_pmf(intensity, c)
-    arrivals = np.arange(len(pmf))
-    total = 0.0
-    for load in range(c + 1):
-        total += load_dist[load] * float((pmf * np.minimum(arrivals, c - load)).sum())
-    return total
 
 
 def integrate(
@@ -121,7 +117,7 @@ def integrate(
     pool = float(initial_pool)
     for _ in range(rounds):
         intensity = pool + lam
-        accepted = _step_accept_rate(loads, intensity, c)
+        accepted = _expected_accepts(loads, _arrival_pmf(intensity, c), c)
         accept_rates.append(accepted)
         pool = max(0.0, intensity - accepted)
         loads = loads @ bin_transition_matrix(intensity, c)

@@ -25,6 +25,7 @@ and smooth reference curves for the experiment plots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,12 +57,13 @@ def poisson_pmf(rate: float, kmax: int) -> np.ndarray:
         raise ConfigurationError(f"rate must be non-negative, got {rate}")
     if kmax < 0:
         raise ConfigurationError(f"kmax must be non-negative, got {kmax}")
-    pmf = np.zeros(kmax + 1)
+    probabilities = []
     log_term = -rate  # log Pr[A = 0]
     log_rate = math.log(rate) if rate > 0 else -math.inf
     for k in range(kmax + 1):
-        pmf[k] = math.exp(log_term)
+        probabilities.append(math.exp(log_term))
         log_term += log_rate - math.log(k + 1)
+    pmf = np.array(probabilities)
     pmf[kmax] += max(0.0, 1.0 - pmf.sum())
     return pmf
 
@@ -81,13 +83,29 @@ def bin_transition_matrix(intensity: float, c: int) -> np.ndarray:
     """
     if c < 1:
         raise ConfigurationError(f"capacity must be >= 1, got {c}")
-    pmf = _arrival_pmf(intensity, c)
-    transition = np.zeros((c + 1, c + 1))
+    return _transition_from_pmf(_arrival_pmf(intensity, c), c)
+
+
+def _transition_from_pmf(pmf: np.ndarray, c: int) -> np.ndarray:
+    # Row ``load`` adds each arrival count's probability to column
+    # ``max(0, min(c, load + a) − 1)`` in increasing ``a``. Counts that fit
+    # (``a < c − load``) hit distinct columns below c − 1 (except a ≤ 1 from
+    # an empty bin, both column 0); the rest saturate into column c − 1.
+    # Python floats keep that accumulation order, so every entry is the
+    # same double as an element-by-element ``+=`` would give.
+    probabilities = pmf.tolist()
+    rows = []
     for load in range(c + 1):
-        for arrivals, probability in enumerate(pmf):
-            after = min(c, load + arrivals)
-            transition[load, max(0, after - 1)] += probability
-    return transition
+        row = [0.0] * (c + 1)
+        fits = c - load
+        for arrivals, probability in enumerate(probabilities[:fits]):
+            row[max(0, load + arrivals - 1)] += probability
+        saturated = row[c - 1]
+        for probability in probabilities[fits:]:
+            saturated += probability
+        row[c - 1] = saturated
+        rows.append(row)
+    return np.array(rows)
 
 
 def stationary_loads(intensity: float, c: int) -> np.ndarray:
@@ -117,12 +135,25 @@ def accept_rate(intensity: float, c: int) -> float:
     Equals ``E[min(A, c − L)]`` under the stationary load distribution;
     the equilibrium condition is ``accept_rate(ν*/n, c) = λ``.
     """
-    dist = stationary_loads(intensity, c)
+    from repro.stats.markov import stationary_distribution
+
     pmf = _arrival_pmf(intensity, c)
+    dist = stationary_distribution(_transition_from_pmf(pmf, c))
+    return _expected_accepts(dist, pmf, c)
+
+
+def _expected_accepts(load_dist: np.ndarray, pmf: np.ndarray, c: int) -> float:
+    """Balls accepted per bin in one round, ``E[min(A, c − L)]``.
+
+    ``load_dist`` is the start-of-round load distribution over 0..c and
+    ``pmf`` the arrival pmf from :func:`poisson_pmf`. Shared by the
+    equilibrium solver and the transient integrator in
+    :mod:`repro.core.fluid`.
+    """
     arrivals = np.arange(len(pmf))
     total = 0.0
     for load in range(c + 1):
-        total += dist[load] * float((pmf * np.minimum(arrivals, c - load)).sum())
+        total += load_dist[load] * float((pmf * np.minimum(arrivals, c - load)).sum())
     return total
 
 
@@ -249,9 +280,21 @@ def mixture_equilibrium_pool(
 
 
 def equilibrium(c: int, lam: float) -> MeanFieldEquilibrium:
-    """Compute the full mean-field equilibrium for CAPPED(c, λ)."""
+    """Compute the full mean-field equilibrium for CAPPED(c, λ).
+
+    Solved once per process for each ``(int(c), float(lam))``: a sweep
+    asks for the same few dozen cells in every warm start and theory
+    column. Repeated calls return the same object, so its
+    ``load_distribution`` is read-only.
+    """
+    return _solve_equilibrium(int(c), float(lam))
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_equilibrium(c: int, lam: float) -> MeanFieldEquilibrium:
     intensity = equilibrium_throw_intensity(c, lam)
     dist = stationary_loads(intensity, c)
+    dist.setflags(write=False)
     mean_load = float(np.arange(c + 1) @ dist)
     normalized_pool = max(0.0, intensity - lam)
     # Little's law: time-average balls in system / throughput. A ball of

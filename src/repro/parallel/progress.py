@@ -193,20 +193,7 @@ class LiveStatusReporter(ProgressReporter):
         # Latest broker-aggregated quantile digest (fleet-stats events).
         self.fleet_stats: dict[str, Any] = {}
         self.theory_errors: list[float] = []
-        self._theory_pool: dict[tuple[int, float], float | None] = {}
         self._started = time.monotonic()
-
-    def _theory_pool_for(self, c: int, lam: float) -> float | None:
-        """Mean-field equilibrium pool for ``(c, lam)``, memoised per cell."""
-        key = (c, lam)
-        if key not in self._theory_pool:
-            try:
-                from repro.core.meanfield import equilibrium
-
-                self._theory_pool[key] = float(equilibrium(c, lam).normalized_pool)
-            except Exception:
-                self._theory_pool[key] = None  # solver rejects the cell; skip it
-        return self._theory_pool[key]
 
     def _note_outcome(self, info: dict[str, Any]) -> None:
         worker = info.get("worker")
@@ -225,8 +212,13 @@ class LiveStatusReporter(ProgressReporter):
         pool = outcome.get("normalized_pool")
         if pool is None or c is None or lam is None or not (0 <= lam < 1) or c < 1:
             return
-        theory = self._theory_pool_for(int(c), float(lam))
-        if theory is not None and theory > 0:
+        from repro.core.meanfield import equilibrium  # memoised per (c, lam)
+
+        try:
+            theory = equilibrium(c, lam).normalized_pool
+        except Exception:
+            return  # solver rejects the cell; skip it
+        if theory > 0:
             self.theory_errors.append(abs(pool / theory - 1.0))
 
     def task_done(self, label: str, elapsed: float, source: str = "computed", **info: Any) -> None:

@@ -37,3 +37,24 @@ def rng() -> np.random.Generator:
 def factory() -> RngFactory:
     """A deterministic RngFactory, fresh per test."""
     return RngFactory(seed=777)
+
+
+@pytest.fixture
+def meanfield_solves(monkeypatch) -> list[tuple[int, float]]:
+    """Cold mean-field solves in this test, as ``(c, lam)`` in call order.
+
+    Empties the per-process :func:`repro.core.meanfield.equilibrium` memo
+    first, so the count does not depend on which tests ran before.
+    """
+    from repro.core import meanfield
+
+    meanfield._solve_equilibrium.cache_clear()
+    solves: list[tuple[int, float]] = []
+    solve = meanfield.equilibrium_throw_intensity
+
+    def counting(c: int, lam: float) -> float:
+        solves.append((c, lam))
+        return solve(c, lam)
+
+    monkeypatch.setattr(meanfield, "equilibrium_throw_intensity", counting)
+    return solves

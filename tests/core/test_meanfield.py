@@ -1,18 +1,63 @@
 """Unit tests for the mean-field equilibrium solver."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import meanfield
 from repro.core.meanfield import (
     accept_rate,
     equilibrium,
     equilibrium_throw_intensity,
+    mixture_equilibrium_pool,
     poisson_pmf,
     stationary_loads,
 )
 from repro.errors import ConfigurationError
+
+GOLDEN = Path(__file__).with_name("meanfield_golden.json")
+
+# The heterogeneous_capacity experiment's three layouts of a 2n budget.
+LAYOUTS = {
+    "uniform c=2": {2: 1.0},
+    "split 1/3": {1: 0.5, 3: 0.5},
+    "skewed 1/9": {9: 1 / 8, 1: 7 / 8},
+}
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Start every test with an empty equilibrium memo."""
+    meanfield._solve_equilibrium.cache_clear()
+
+
+def snapshot() -> dict:
+    """Every solver output of the golden grid, as ``float.hex`` strings.
+
+    Grid: c ∈ 1..9 × λ = 1 − 2⁻ᵏ, k ∈ 1..13 (keyed ``"c k"``), plus the
+    mixture pools of :data:`LAYOUTS` at λ = 1 − 2⁻⁸. Regenerate the
+    golden file only for an intended numerical change:
+    ``PYTHONPATH=src python tests/core/test_meanfield.py``.
+    """
+    cells = {}
+    for c in range(1, 10):
+        for k in range(1, 14):
+            eq = equilibrium(c, 1.0 - 2.0**-k)
+            cells[f"{c} {k}"] = {
+                "throw_intensity": float(eq.throw_intensity).hex(),
+                "normalized_pool": float(eq.normalized_pool).hex(),
+                "mean_load": float(eq.mean_load).hex(),
+                "mean_wait": float(eq.mean_wait).hex(),
+                "load_distribution": [float(p).hex() for p in eq.load_distribution],
+            }
+    mixture = {
+        name: mixture_equilibrium_pool(shares, 1.0 - 2.0**-8).hex()
+        for name, shares in LAYOUTS.items()
+    }
+    return {"equilibrium": cells, "mixture": mixture}
 
 
 class TestPoissonPmf:
@@ -125,3 +170,47 @@ class TestEquilibrium:
         predicted = equilibrium(c, lam).mean_wait
         point = measure_capped(n=2048, c=c, lam=lam, measure=300, seed=2)
         assert point.avg_wait == pytest.approx(predicted, rel=0.1)
+
+
+class TestBitExactness:
+    def test_matches_golden_bit_for_bit(self):
+        golden = json.loads(GOLDEN.read_text())
+        current = snapshot()
+        assert current["mixture"] == golden["mixture"]
+        assert current["equilibrium"].keys() == golden["equilibrium"].keys()
+        for cell, expected in golden["equilibrium"].items():
+            assert current["equilibrium"][cell] == expected, cell
+
+
+class TestMemo:
+    def test_repeat_call_returns_same_object(self):
+        first = equilibrium(3, 1 - 2**-6)
+        assert equilibrium(3, 1 - 2**-6) is first
+        assert equilibrium(np.int64(3), np.float64(1 - 2**-6)) is first
+
+    def test_shared_load_distribution_is_read_only(self):
+        eq = equilibrium(2, 0.75)
+        with pytest.raises(ValueError):
+            eq.load_distribution[0] = 0.5
+
+    def test_one_solve_per_cell(self, meanfield_solves):
+        for _ in range(3):
+            equilibrium(2, 0.75)
+            equilibrium(4, 0.75)
+        assert meanfield_solves == [(2, 0.75), (4, 0.75)]
+
+    def test_serial_experiment_solves_each_cell_once(self, meanfield_solves):
+        # Discovery, every warm-started task and the replay of fig4_right
+        # all ask for the same cells; each must be solved exactly once.
+        from repro.analysis.experiments import Profile
+        from repro.parallel.runner import run_experiments
+
+        profile = Profile(name="tiny", n=256, measure=20, replicates=1)
+        [result] = run_experiments(["fig4_right"], profile=profile, jobs=1).results
+        assert result.rows
+        cells = {(c, 1.0 - 2.0**-k) for c in (1, 3) for k in range(1, 9)}
+        assert sorted(meanfield_solves) == sorted(cells)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(snapshot(), indent=1, sort_keys=True))

@@ -173,14 +173,14 @@ class TestLiveStatusReporter:
         )
         assert reporter.theory_errors == []
 
-    def test_theory_cache_memoises_per_cell(self):
+    def test_theory_cache_memoises_per_cell(self, meanfield_solves):
         reporter = LiveStatusReporter(total=2, stream=io.StringIO(), min_interval=0.0)
         params = {"c": 2, "lam": 0.75}
         for label in ("a", "b"):
             reporter.task_done(
                 label, 0.1, outcome={"normalized_pool": 0.2}, kind="capped", params=params
             )
-        assert list(reporter._theory_pool) == [(2, 0.75)]
+        assert meanfield_solves == [(2, 0.75)]
         assert len(reporter.theory_errors) == 2
 
 
