@@ -200,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--broker",
         default=None,
         metavar="HOST:PORT",
-        help="run the measure phase on a broker's worker fleet instead of "
-        "local processes (results stay bit-identical; see `repro broker`)",
+        help="run measurement tasks on a broker's worker fleet instead of "
+        "local processes; discovery runs in this process, so --jobs has no "
+        "effect (results stay bit-identical; see `repro broker`)",
     )
     exp.add_argument(
         "--auth-token",

@@ -51,6 +51,7 @@ from typing import Any
 from repro.distributed.protocol import (
     PROTOCOL,
     auth_response,
+    encode_frame,
     read_frame_async,
     write_frame_async,
 )
@@ -489,14 +490,26 @@ class Broker:
         if tel is not None:
             tel.inc(metric, **labels)
 
+    @staticmethod
+    def _send(client: _ClientConn, frame: dict[str, Any]) -> None:
+        """Queue one frame for a client without waiting for it to read.
+
+        A client may go seconds between reads while it discovers an
+        experiment in-process. Awaiting its drain would stall whichever
+        worker's ``complete`` produced the frame, and with it the fleet,
+        so client frames go straight into the transport's buffer. The
+        broker holds every ``task.result`` anyway. Disconnects are the
+        client-reader loop's to handle.
+        """
+        if not client.writer.is_closing():
+            with contextlib.suppress(ConnectionError, OSError):
+                client.writer.write(encode_frame(frame))
+
     async def _broadcast_event(self, kind: str, **fields: Any) -> None:
         """Forward one fleet event to every connected client (best effort)."""
         frame = {"type": "event", "kind": kind, **fields}
         for client in list(self.clients):
-            try:
-                await write_frame_async(client.writer, frame)
-            except (ConnectionError, ProtocolError, OSError):
-                pass  # the client-reader loop owns disconnect handling
+            self._send(client, frame)
 
     # ------------------------------------------------------------------
     # fleet tracing + telemetry
@@ -636,25 +649,22 @@ class Broker:
             if task.key not in client.outstanding:
                 continue
             client.outstanding.discard(task.key)
-            try:
-                if task.status == DONE:
-                    await write_frame_async(client.writer, self._result_frame(task, source))
-                else:
-                    await write_frame_async(
-                        client.writer,
-                        {
-                            "type": "task_failed",
-                            "key": task.key,
-                            "error": task.error or "unknown failure",
-                            "attempts": task.attempts,
-                            "releases": task.releases,
-                        },
-                    )
-                if not client.outstanding:
-                    await write_frame_async(client.writer, {"type": "done"})
-                    self._record("run-done", run=client.run_id, submitted=client.submitted)
-            except (ConnectionError, ProtocolError, OSError):
-                pass
+            if task.status == DONE:
+                self._send(client, self._result_frame(task, source))
+            else:
+                self._send(
+                    client,
+                    {
+                        "type": "task_failed",
+                        "key": task.key,
+                        "error": task.error or "unknown failure",
+                        "attempts": task.attempts,
+                        "releases": task.releases,
+                    },
+                )
+            if not client.outstanding:
+                self._send(client, {"type": "done"})
+                self._record("run-done", run=client.run_id, submitted=client.submitted)
         self._gauges()
         self._snapshot_state()
         if (
@@ -1330,15 +1340,11 @@ class Broker:
                     task.trace = trace_ctx
                 if trace_ctx is not None:
                     for span in task.span_log:
-                        with contextlib.suppress(ConnectionError, ProtocolError, OSError):
-                            await write_frame_async(
-                                client.writer,
-                                {"type": "event", "kind": "span", "span": span},
-                            )
+                        self._send(client, {"type": "event", "kind": "span", "span": span})
         if self.store is not None:
             self.store.sync()
         if not client.outstanding:
-            await write_frame_async(client.writer, {"type": "done"})
+            self._send(client, {"type": "done"})
         self._gauges()
         self._snapshot_state()
         self._wake_reaper.set()

@@ -1,42 +1,58 @@
-"""Runner-side broker client: submit a task batch, stream results back.
+"""Runner-side broker client: submit tasks, stream results back.
 
 :class:`BrokerClient` is what :class:`~repro.parallel.runner.ExperimentRunner`
-uses in ``--broker`` mode. It speaks the client half of the protocol:
-one ``submit`` carrying every (digest, payload) pair, then a stream of
-``result`` / ``task_failed`` / ``event`` frames until ``done``.
+uses in ``--broker`` mode. It speaks the client half of the protocol over
+one persistent session: any number of ``submit`` frames, each carrying
+(digest, payload) pairs, and a stream of ``result`` / ``task_failed`` /
+``event`` frames coming back.
 
-The stream is an iterator of ``(payload, bundle)`` pairs shaped exactly
-like the process-pool path's ``(payload, outcome)`` contract, so the
-runner's journaling, caching, quarantine, and replay machinery apply
-unchanged — a broker sweep is just another execution fabric under the
-same accounting invariant.
+:meth:`BrokerClient.run_tasks` is the one iterator of ``(payload,
+bundle)`` pairs, shaped exactly like the process-pool path's ``(payload,
+outcome)`` contract, so the runner's journaling, caching, quarantine, and
+replay machinery apply unchanged — a broker sweep is just another
+execution fabric under the same accounting invariant. A caller that has
+more work to plan calls :meth:`~BrokerClient.submit` as each batch is
+known and :meth:`~BrokerClient.poll` between batches: ``poll`` reads
+whatever frames have already arrived without blocking and returns how
+many results ``run_tasks`` can now yield without waiting.
 
 Fleet ``event`` frames (worker join/leave, re-leases, retries) are
 surfaced through an optional callback for live progress aggregation;
 they never affect results.
 
-The submit session survives a broker restart: on a torn stream the
-client reconnects with jittered exponential backoff and resubmits only
-the still-outstanding keys — content-addressed digests make the
-resubmission idempotent (finished work is served from the broker's
-recovered state or the shared cache, never recomputed). A synthetic
-``client-reconnect`` event is surfaced through ``on_event`` so the
-runner can report how many broker outages the sweep rode out.
+The session survives a broker restart: on a torn stream the client
+reconnects with jittered exponential backoff and resubmits every
+still-outstanding key from every earlier submit — content-addressed
+digests make the resubmission idempotent (finished work is served from
+the broker's recovered state or the shared cache, never recomputed). A
+synthetic ``client-reconnect`` event is surfaced through ``on_event`` so
+the runner can report how many broker outages the sweep rode out.
 """
 
 from __future__ import annotations
 
 import random
 import socket
+import ssl
 import time
 import uuid
-from typing import Any, Callable, Iterator
+from collections import deque
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.distributed.broker import resolve_address
-from repro.distributed.protocol import PROTOCOL, connect_broker, open_hello, recv_frame, send_frame
+from repro.distributed.protocol import (
+    PROTOCOL,
+    FrameBuffer,
+    connect_broker,
+    open_hello,
+    send_frame,
+)
 from repro.errors import DistributedError, ProtocolError
 
 __all__ = ["BrokerClient", "RemoteTaskFailure"]
+
+# A torn session: reconnect and resubmit whatever is outstanding.
+_STREAM_ERRORS = (OSError, DistributedError, ProtocolError)
 
 
 class _Rejected(DistributedError):
@@ -54,7 +70,7 @@ class RemoteTaskFailure:
 
 
 class BrokerClient:
-    """One submit/stream session against a running broker.
+    """One persistent submit/stream session against a running broker.
 
     Parameters
     ----------
@@ -97,6 +113,16 @@ class BrokerClient:
         self.tls_ca = tls_ca
         self.max_reconnects = max_reconnects
         self.reconnect_backoff = reconnect_backoff
+        self._sock: socket.socket | None = None
+        self._frames = FrameBuffer()
+        # Submit entries of every unresolved key, in submission order, and
+        # the caller's payload for each; both shrink as results land.
+        self._entries: dict[str, dict[str, Any]] = {}
+        self._payloads: dict[str, dict[str, Any]] = {}
+        self._ready: deque[tuple[dict[str, Any], dict[str, Any] | RemoteTaskFailure]] = deque()
+        self._connects = 0  # connection attempts, for the reconnect event
+        self._failures = 0  # consecutive failures since the last good submit
+        self._ever_connected = False
 
     def _connect(self) -> socket.socket:
         from repro.parallel.keys import measurement_fingerprint
@@ -138,26 +164,19 @@ class BrokerClient:
             raise ProtocolError(f"expected welcome, got {welcome.get('type')!r}")
         return sock
 
-    def run_tasks(
-        self, payloads: list[dict[str, Any]]
-    ) -> Iterator[tuple[dict[str, Any], dict[str, Any] | RemoteTaskFailure]]:
-        """Execute ``payloads`` on the fleet, yielding results as they land.
+    def submit(self, payloads: Iterable[dict[str, Any]]) -> None:
+        """Queue ``payloads`` on the fleet without waiting for any result.
 
-        Yields exactly one ``(payload, bundle)`` pair per payload, in
-        completion order. A successful bundle is the worker's
-        ``execute_task`` dict plus broker provenance (``worker``,
-        ``source``, ``releases``, ``resumed_round``); a failed task yields
-        a :class:`RemoteTaskFailure`.
+        Connects on first use. A key that is already outstanding is not
+        sent again.
         """
         from repro.parallel.tasks import TaskSpec
 
-        if not payloads:
-            return
-        by_key: dict[str, dict[str, Any]] = {}
-        entries = []
+        fresh = []
         for payload in payloads:
             key = TaskSpec.from_payload(payload).digest
-            by_key[key] = payload
+            if key in self._entries:
+                continue
             # Trace context rides at the entry level, not inside the
             # payload: the broker re-parents each lease itself (the worker
             # must hang its running span under the *current* lease span,
@@ -170,115 +189,208 @@ class BrokerClient:
             trace_ctx = payload.get("trace")
             if isinstance(trace_ctx, dict) and trace_ctx.get("trace"):
                 entry["trace"] = trace_ctx
-            entries.append(entry)
-        outstanding = set(by_key)
-        failures = 0
-        attempts = 0
-        ever_connected = False
-        while outstanding:
-            attempts += 1
+            self._entries[key] = entry
+            self._payloads[key] = payload
+            fresh.append(entry)
+        if not fresh:
+            return
+        if self._sock is None:
+            self._open()  # submits every outstanding entry, these included
+            return
+        try:
+            send_frame(self._sock, {"type": "submit", "tasks": fresh})
+        except _STREAM_ERRORS as err:
+            self._recover(err)
+
+    def poll(self) -> int:
+        """Read every frame that has already arrived, without blocking.
+
+        Events go to ``on_event`` at once. Returns how many results
+        :meth:`run_tasks` can now yield without waiting on the broker.
+        """
+        while self._sock is not None:
+            try:
+                frame = self._frames.next_frame()
+                if frame is None:
+                    if not self._receive(block=False):
+                        break
+                    continue
+                self._handle(frame)
+            except _STREAM_ERRORS as err:
+                self._recover(err)
+        return len(self._ready)
+
+    def run_tasks(
+        self, payloads: Iterable[dict[str, Any]] = ()
+    ) -> Iterator[tuple[dict[str, Any], dict[str, Any] | RemoteTaskFailure]]:
+        """Execute ``payloads`` on the fleet, yielding results as they land.
+
+        Yields exactly one ``(payload, bundle)`` pair per submitted
+        payload — these and every earlier or later :meth:`submit` — in
+        completion order, and ends once nothing is outstanding. A
+        successful bundle is the worker's ``execute_task`` dict plus
+        broker provenance (``worker``, ``source``, ``releases``,
+        ``resumed_round``); a failed task yields a
+        :class:`RemoteTaskFailure`. A caller interleaving its own work
+        advances the iterator only as many times as :meth:`poll` reports,
+        so it never blocks; the session closes when the iterator ends.
+        """
+        self.submit(payloads)
+        try:
+            while True:
+                while self._ready:
+                    yield self._ready.popleft()
+                if not self._entries:
+                    return
+                try:
+                    frame = self._frames.next_frame()
+                    if frame is None:
+                        self._receive(block=True)
+                    else:
+                        self._handle(frame)
+                except _STREAM_ERRORS as err:
+                    self._recover(err)
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """End the session (a polite ``bye`` when the stream is idle)."""
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            if not self._entries:
+                send_frame(sock, {"type": "bye"})
+        except OSError:
+            pass
+        finally:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - close races
+                pass
+
+    def _open(self) -> None:
+        """Connect, then submit every outstanding entry in one frame."""
+        while True:
+            self._connects += 1
             try:
                 sock = self._connect()
             except _Rejected:
                 raise  # configuration error: retrying only repeats it
-            except (OSError, DistributedError, ProtocolError) as err:
+            except _STREAM_ERRORS as err:
                 # A broker that was *never* reachable fails fast (the
                 # operator hint matters more than persistence); one that
                 # vanished mid-sweep is probably restarting — retry.
-                if not ever_connected:
+                if not self._ever_connected:
                     raise
-                failures += 1
-                if failures > self.max_reconnects:
-                    raise DistributedError(
-                        f"gave up on broker at {self.host}:{self.port} after "
-                        f"{failures} connection failures: {err}"
-                    ) from err
-                time.sleep(self._backoff_delay(failures))
+                self._count_failure(err, "connection failures")
                 continue
-            ever_connected = True
-            if attempts > 1 and self.on_event is not None:
+            if self._ever_connected and self.on_event is not None:
                 # Synthetic (not broker-forwarded): the sweep survived a
                 # broker outage and is resubmitting the remainder.
                 self.on_event(
                     {
                         "type": "event",
                         "kind": "client-reconnect",
-                        "outstanding": len(outstanding),
-                        "attempt": attempts,
+                        "outstanding": len(self._entries),
+                        "attempt": self._connects,
                     }
                 )
+            self._ever_connected = True
             try:
                 # Only the unresolved keys: finished work is already
                 # journaled on our side, and the broker (or the shared
                 # cache) remembers its half across a restart.
-                remaining = [e for e in entries if e["key"] in outstanding]
-                send_frame(sock, {"type": "submit", "tasks": remaining})
-                failures = 0
-                yield from self._stream(sock, outstanding, by_key)
-                send_frame(sock, {"type": "bye"})
-            except (OSError, DistributedError, ProtocolError) as err:
-                failures += 1
-                if failures > self.max_reconnects:
-                    raise DistributedError(
-                        f"lost the broker at {self.host}:{self.port} with "
-                        f"{len(outstanding)} task(s) unresolved after "
-                        f"{failures} consecutive stream failures: {err}"
-                    ) from err
-                time.sleep(self._backoff_delay(failures))
-            finally:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - close races
-                    pass
+                send_frame(sock, {"type": "submit", "tasks": list(self._entries.values())})
+            except _STREAM_ERRORS as err:
+                sock.close()
+                self._count_failure(err, "consecutive stream failures")
+                continue
+            self._sock = sock
+            self._frames = FrameBuffer()
+            self._failures = 0
+            return
+
+    def _recover(self, err: Exception) -> None:
+        """Replace a torn session: back off, reconnect, resubmit."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - close races
+                pass
+        self._count_failure(err, "consecutive stream failures")
+        self._open()
+
+    def _count_failure(self, err: Exception, what: str) -> None:
+        self._failures += 1
+        if self._failures > self.max_reconnects:
+            raise DistributedError(
+                f"lost the broker at {self.host}:{self.port} with "
+                f"{len(self._entries)} task(s) unresolved after "
+                f"{self._failures} {what}: {err}"
+            ) from err
+        time.sleep(self._backoff_delay(self._failures))
 
     def _backoff_delay(self, failures: int) -> float:
         """Jittered exponential backoff across a broker restart."""
         base = self.reconnect_backoff * (2 ** max(0, failures - 1))
         return min(10.0, base) * (0.5 + random.random())
 
-    def _stream(
-        self,
-        sock: socket.socket,
-        outstanding: set,
-        by_key: dict[str, dict[str, Any]],
-    ) -> Iterator[tuple[dict[str, Any], dict[str, Any] | RemoteTaskFailure]]:
-        """Drain one connection's result stream until nothing is outstanding."""
-        while outstanding:
-            frame = recv_frame(sock)
-            if frame is None:
-                raise DistributedError(
-                    f"broker closed the stream with {len(outstanding)} task(s) unresolved"
-                )
-            kind = frame.get("type")
-            if kind == "event":
-                if self.on_event is not None:
-                    self.on_event(frame)
-                continue
-            if kind == "done":
-                continue  # outstanding bookkeeping below is authoritative
-            if kind == "result":
-                key = frame["key"]
-                if key not in outstanding:
-                    continue
-                outstanding.discard(key)
-                bundle = dict(frame.get("result") or {})
-                bundle["source"] = frame.get("source", "computed")
-                bundle["worker"] = frame.get("worker")
-                bundle["releases"] = int(frame.get("releases", 0))
-                yield by_key[key], bundle
-                continue
-            if kind == "task_failed":
-                key = frame["key"]
-                if key not in outstanding:
-                    continue
-                outstanding.discard(key)
-                yield (
-                    by_key[key],
-                    RemoteTaskFailure(
-                        error=str(frame.get("error", "unknown broker failure")),
-                        attempts=int(frame.get("attempts", 1)),
-                        releases=int(frame.get("releases", 0)),
-                    ),
-                )
-                continue
+    def _receive(self, block: bool) -> bool:
+        """Move received bytes into the frame buffer.
+
+        Returns False when ``block`` is off and nothing has arrived. (A
+        TLS socket can be readable with no application data, so readiness
+        is tested by reading, not by ``select``.)
+        """
+        assert self._sock is not None
+        if block:
+            data = self._sock.recv(65536)
+        else:
+            self._sock.settimeout(0.0)
+            try:
+                data = self._sock.recv(65536)
+            except (BlockingIOError, ssl.SSLWantReadError):
+                return False
+            finally:
+                self._sock.settimeout(None)  # submits still block on a full buffer
+        if not data:
+            raise DistributedError(
+                f"broker closed the stream with {len(self._entries)} task(s) unresolved"
+            )
+        self._frames.feed(data)
+        return True
+
+    def _handle(self, frame: dict[str, Any]) -> None:
+        """Route one broker frame: events out, results into the ready queue."""
+        kind = frame.get("type")
+        if kind == "event":
+            if self.on_event is not None:
+                self.on_event(frame)
+            return
+        if kind == "done":
+            return  # outstanding bookkeeping below is authoritative
+        if kind not in ("result", "task_failed"):
             raise ProtocolError(f"unexpected broker frame type {kind!r}")
+        key = frame["key"]
+        if self._entries.pop(key, None) is None:
+            return  # a duplicate delivery across a reconnect
+        payload = self._payloads.pop(key)
+        if kind == "result":
+            bundle = dict(frame.get("result") or {})
+            bundle["source"] = frame.get("source", "computed")
+            bundle["worker"] = frame.get("worker")
+            bundle["releases"] = int(frame.get("releases", 0))
+            self._ready.append((payload, bundle))
+            return
+        self._ready.append(
+            (
+                payload,
+                RemoteTaskFailure(
+                    error=str(frame.get("error", "unknown broker failure")),
+                    attempts=int(frame.get("attempts", 1)),
+                    releases=int(frame.get("releases", 0)),
+                ),
+            )
+        )

@@ -98,6 +98,7 @@ from repro.errors import ProtocolError
 __all__ = [
     "PROTOCOL",
     "MAX_FRAME_BYTES",
+    "FrameBuffer",
     "auth_response",
     "connect_broker",
     "encode_frame",
@@ -193,6 +194,34 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     if body is None:
         raise ProtocolError("connection closed between header and body")
     return _decode_body(body)
+
+
+class FrameBuffer:
+    """Incremental decoder for a stream read in arbitrary chunks.
+
+    ``feed`` appends received bytes; ``next_frame`` returns the oldest
+    whole frame, or None until one has fully arrived. Lets a reader
+    that must not block (the runner's broker client between discoveries)
+    take only the frames already received.
+    """
+
+    def __init__(self) -> None:
+        self._data = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self._data += data
+
+    def next_frame(self) -> dict[str, Any] | None:
+        if len(self._data) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(self._data)
+        _check_length(length)
+        end = _HEADER.size + length
+        if len(self._data) < end:
+            return None
+        body = bytes(self._data[_HEADER.size : end])
+        del self._data[:end]
+        return _decode_body(body)
 
 
 def connect_broker(

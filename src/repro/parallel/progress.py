@@ -84,18 +84,21 @@ class TimingStats:
 class ProgressReporter:
     """Prints ``[done/total]`` lines with a simple throughput-based ETA.
 
-    ETA assumes the remaining tasks cost the mean of the *computed* tasks
-    so far divided over ``jobs`` workers; cached/journaled tasks count as
-    free. On a TTY the report is a single in-place ``\\r`` status line
-    (finished with a newline); on non-TTY streams (CI logs, files) each
-    update is a plain newline-terminated line. Output is throttled to at
-    most one update per ``min_interval`` seconds (the final task always
-    prints).
+    The total grows while the run is still planning: the runner adds each
+    experiment's tasks (:meth:`add_total`) as its plan lands, so
+    ``done == total`` does not mean the run is over — :meth:`finish`
+    does. ETA assumes the remaining known tasks cost the mean of the
+    *computed* tasks so far divided over ``jobs`` workers; cached/journaled
+    tasks count as free. On a TTY the report is a single in-place ``\\r``
+    status line (finished with a newline by :meth:`finish`); on non-TTY
+    streams (CI logs, files) each update is a plain newline-terminated
+    line. Output is throttled to at most one update per ``min_interval``
+    seconds; :meth:`finish` always shows the last task.
     """
 
     def __init__(
         self,
-        total: int,
+        total: int = 0,
         jobs: int = 1,
         stream: TextIO | None = None,
         min_interval: float = 0.5,
@@ -110,6 +113,12 @@ class ProgressReporter:
         self.computed_seconds = 0.0
         self._last_print = 0.0
         self._line_width = 0
+        self._last_task: tuple[str, str, float] | None = None
+        self._shown = 0  # ``done`` as of the line on screen
+
+    def add_total(self, count: int) -> None:
+        """Count ``count`` more tasks, from a plan that just landed."""
+        self.total += count
 
     def task_done(self, label: str, elapsed: float, source: str = "computed", **info: Any) -> None:
         """Record one finished task; ``source`` is computed/cache/journal.
@@ -122,19 +131,36 @@ class ProgressReporter:
         if source in ("computed", "remote"):
             self.computed += 1
             self.computed_seconds += elapsed
-        now = time.monotonic()
-        is_last = self.done >= self.total
-        if not is_last and now - self._last_print < self.min_interval:
+        self._last_task = (label, source, elapsed)
+        if time.monotonic() - self._last_print >= self.min_interval:
+            self._show(final=False)
+
+    def finish(self) -> None:
+        """Print the last line; the runner calls this once its loop ends."""
+        if self._last_task is None:
             return
-        self._last_print = now
+        if self._shown == self.done:
+            # The last task is already on screen: only end the TTY line.
+            if self.use_tty:
+                self.stream.write("\n")
+                self.stream.flush()
+                self._line_width = 0
+            return
+        self._show(final=True)
+
+    def _show(self, final: bool) -> None:
+        assert self._last_task is not None
+        label, source, elapsed = self._last_task
+        self._last_print = time.monotonic()
+        self._shown = self.done
         eta = ""
-        if self.computed and not is_last:
+        if self.computed and self.done < self.total and not final:
             per_task = self.computed_seconds / self.computed
             remaining = (self.total - self.done) * per_task / self.jobs
             eta = f"  eta {remaining:.0f}s"
         self._write_line(
             f"[{self.done}/{self.total}] {label} ({source}, {elapsed:.2f}s){eta}",
-            final=is_last,
+            final=final,
         )
 
     def note_fleet_event(self, event: dict[str, Any]) -> None:
@@ -176,7 +202,7 @@ class LiveStatusReporter(ProgressReporter):
 
     def __init__(
         self,
-        total: int,
+        total: int = 0,
         jobs: int = 1,
         stream: TextIO | None = None,
         min_interval: float = 0.5,

@@ -1,24 +1,31 @@
-"""Process-pool experiment runner: plan → measure → replay.
+"""Process-pool experiment runner: discover and measure in one loop, then replay.
 
-:class:`ExperimentRunner` executes a set of experiments in three phases:
+:class:`ExperimentRunner` executes a set of experiments in one work loop
+followed by a replay:
 
-1. **Discover** — each experiment generator runs under a
-   :class:`~repro.parallel.context.RecordingContext` (on a worker, so pure
-   driver experiments parallelise across each other) to extract its grid of
-   measurement cells.
-2. **Measure** — every (cell, replicate) becomes an independent task. Tasks
-   already present in the resume journal or the content-addressed cache are
-   served from disk; the rest fan out over a process pool. Each completed
-   task is journaled (fsync'd) before the runner proceeds, so a crash loses
-   at most the in-flight tasks.
-3. **Replay** — each generator re-runs with a
-   :class:`~repro.parallel.context.ReplayContext` serving the precomputed
-   outcomes through the same aggregation as the serial path, yielding
-   results bit-identical to ``--jobs 1``.
+* **Discover** — each experiment generator runs under a
+  :class:`~repro.parallel.context.RecordingContext` to extract its grid of
+  measurement cells: on the local fabric (pool workers, so pure driver
+  experiments parallelise across each other and with measurement), or,
+  in ``--broker`` mode, in this process between drains of the broker's
+  result stream.
+* **Measure** — each discovery result is handled as soon as it lands, in
+  completion order. Its plan merges into the spec set (a point seen
+  before adds only its missing replicate indices); tasks already present
+  in the resume journal or the content-addressed cache resolve at once;
+  the rest go straight to the pool or the broker, so measurement overlaps
+  the discoveries still running. Each completed task is journaled
+  (fsync'd) before the runner proceeds, so a crash loses at most the
+  in-flight tasks.
+* **Replay** — once the loop ends, each generator re-runs with a
+  :class:`~repro.parallel.context.ReplayContext` serving the precomputed
+  outcomes through the same aggregation as the serial path, yielding
+  results bit-identical to ``--jobs 1``.
 
 Determinism: replicate streams depend only on ``(seed, replicate)`` and
 cell seeds only on the experiment's loop indices, so worker scheduling
-cannot influence any number in the output.
+and the order in which plans land cannot influence any number in the
+output.
 
 Fault tolerance
 ---------------
@@ -46,14 +53,15 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from repro.errors import GracefulShutdown, ParallelExecutionError
 from repro.parallel.cache import ResultCache
 from repro.parallel.context import ReplayContext, use_context
 from repro.parallel.journal import Journal, JournalState
-from repro.parallel.keys import experiment_digest
+from repro.parallel.keys import experiment_digest, point_key
 from repro.parallel.progress import LiveStatusReporter, ProgressReporter, TimingStats
 from repro.parallel.tasks import (
     TaskSpec,
@@ -67,6 +75,9 @@ from repro.telemetry.runtime import current as _telemetry_current, span as _span
 from repro.telemetry.tracing import build_span, trace_id_for
 
 __all__ = ["ExperimentRunner", "RunnerReport", "TaskFailure", "run_experiments"]
+
+# One unit of work for the local fabric: the function to run on a payload.
+Item = tuple[Callable[[dict], dict], dict]
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,8 @@ class ExperimentRunner:
     broker:
         ``host:port`` of a ``repro broker``. Measurement tasks are then
         submitted to the broker's worker fleet instead of a local process
-        pool (``jobs`` only affects the discovery phase). Journal,
+        pool, and discovery runs in this process, interleaved with
+        draining the fleet's results, so ``jobs`` has no effect. Journal,
         cache-mirroring, quarantine, and replay semantics are unchanged:
         a broker-side terminal failure is quarantined exactly like a
         local retry-budget exhaustion, and the merged output stays
@@ -416,34 +428,40 @@ class ExperimentRunner:
         return self.retry_backoff * (2 ** (attempts - 1)) * (1.0 + 0.25 * rng.random())
 
     def _run_tasks(
-        self,
-        fn: Callable[[dict], dict],
-        payloads: Sequence[dict],
-        report: RunnerReport,
+        self, queue: deque[Item], report: RunnerReport
     ) -> Iterator[tuple[dict, dict | TaskFailure]]:
-        """Run ``fn`` over ``payloads``, yielding (payload, outcome) pairs.
+        """Drain ``queue``, yielding (payload, outcome) pairs.
 
-        The outcome is ``fn``'s return value or a :class:`TaskFailure` once
-        the task's retry budget is exhausted — exactly one pair per payload,
-        in completion order (callers must not depend on ordering; all
+        Each item carries its own function, so discovery and measurement
+        tasks share one fabric. The caller may extend ``queue`` while the
+        generator is suspended at a yield; the generator ends once the
+        queue is empty and nothing is in flight. The outcome is the
+        function's return value or a :class:`TaskFailure` once the task's
+        retry budget is exhausted — exactly one pair per item, in
+        completion order (callers must not depend on ordering; all
         assembly is keyed). Worker crashes, hangs (with ``task_timeout``),
         and broken pools are absorbed per the class docstring.
         """
-        items = [(payload, 0) for payload in payloads]
-        if self.jobs == 1 or len(payloads) <= 1:
-            yield from self._run_serial(fn, items, report)
-            return
-        yield from self._run_pooled(fn, items, report)
+        if self.jobs == 1:
+            yield from self._run_serial(queue, report)
+        else:
+            yield from self._run_pooled(queue, report)
 
     def _run_serial(
         self,
-        fn: Callable[[dict], dict],
-        items: Sequence[tuple[dict, int]],
+        queue: deque[Item],
         report: RunnerReport,
+        carried: Iterable[tuple[Callable[[dict], dict], dict, int]] = (),
     ) -> Iterator[tuple[dict, dict | TaskFailure]]:
-        """In-process execution with retries (no timeouts: nothing to kill)."""
+        """In-process execution with retries (no timeouts: nothing to kill).
+
+        ``carried`` holds (function, payload, attempts so far) items a
+        broken pool left behind; they run before the queue is drained.
+        """
         rng = random.Random(0)
-        for payload, attempts in items:
+        backlog = deque(carried)
+        while backlog or queue:
+            fn, payload, attempts = backlog.popleft() if backlog else (*queue.popleft(), 0)
             while True:
                 self._check_shutdown()
                 attempts += 1
@@ -475,20 +493,17 @@ class ExperimentRunner:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def _run_pooled(
-        self,
-        fn: Callable[[dict], dict],
-        items: Sequence[tuple[dict, int]],
-        report: RunnerReport,
+        self, queue: deque[Item], report: RunnerReport
     ) -> Iterator[tuple[dict, dict | TaskFailure]]:
-        width = min(self.jobs, len(items))
+        width = self.jobs
         rng = random.Random(0)
-        # (payload, attempts so far, earliest monotonic time to resubmit)
-        pending: deque[tuple[dict, int, float]] = deque(
-            (payload, attempts, 0.0) for payload, attempts in items
-        )
-        failed: list[tuple[dict, TaskFailure]] = []
+        # (function, payload, attempts so far, earliest monotonic time to resubmit)
+        pending: deque[tuple[Callable[[dict], dict], dict, int, float]] = deque()
+        failed: deque[tuple[dict, TaskFailure]] = deque()
 
-        def requeue(payload: dict, attempts: int, error: str, timed_out: bool) -> None:
+        def requeue(
+            fn: Callable[[dict], dict], payload: dict, attempts: int, error: str, timed_out: bool
+        ) -> None:
             """Count one failed execution; retry or quarantine."""
             if attempts > self.max_retries:
                 failed.append(
@@ -498,18 +513,24 @@ class ExperimentRunner:
                 report.tasks_retried += 1
                 self._note_retry(payload, attempts, error)
                 pending.append(
-                    (payload, attempts, time.monotonic() + self._backoff_seconds(attempts, rng))
+                    (fn, payload, attempts, time.monotonic() + self._backoff_seconds(attempts, rng))
                 )
 
         pool = ProcessPoolExecutor(max_workers=width)
         rebuilds = 0
-        # future -> (payload, attempts including this execution, deadline)
-        running: dict[Any, tuple[dict, int, float | None]] = {}
+        # future -> (function, payload, attempts including this execution, deadline)
+        running: dict[Any, tuple[Callable[[dict], dict], dict, int, float | None]] = {}
         try:
-            while pending or running:
+            while True:
                 self._check_shutdown()
-                yield from failed
-                failed.clear()
+                while failed:
+                    yield failed.popleft()
+                # Work the caller queued while this generator was suspended.
+                while queue:
+                    fn, payload = queue.popleft()
+                    pending.append((fn, payload, 0, 0.0))
+                if not pending and not running:
+                    return
 
                 # Submit ready work, keeping at most ``width`` tasks in
                 # flight so a submission's deadline tracks its start time.
@@ -517,7 +538,7 @@ class ExperimentRunner:
                 rotations = 0
                 broken = False
                 while pending and len(running) < width and rotations < len(pending):
-                    payload, attempts, not_before = pending[0]
+                    fn, payload, attempts, not_before = pending[0]
                     if not_before > now:
                         pending.rotate(-1)
                         rotations += 1
@@ -527,14 +548,14 @@ class ExperimentRunner:
                     try:
                         future = pool.submit(fn, payload)
                     except (BrokenProcessPool, RuntimeError):
-                        pending.appendleft((payload, attempts, not_before))
+                        pending.appendleft((fn, payload, attempts, not_before))
                         broken = True
                         break
-                    running[future] = (payload, attempts + 1, deadline)
+                    running[future] = (fn, payload, attempts + 1, deadline)
 
                 if not broken and not running:
                     # Everything pending is backing off; sleep it out.
-                    wake = min(entry[2] for entry in pending)
+                    wake = min(entry[3] for entry in pending)
                     time.sleep(max(0.0, wake - time.monotonic()))
                     continue
 
@@ -547,12 +568,13 @@ class ExperimentRunner:
                         tick = min(0.5, max(0.01, horizon))
                     done, _ = wait(set(running), timeout=tick, return_when=FIRST_COMPLETED)
                     for future in done:
-                        payload, attempts, _ = running.pop(future)
+                        fn, payload, attempts, _ = running.pop(future)
                         try:
                             result = future.result()
                         except BrokenProcessPool:
                             broken = True
                             requeue(
+                                fn,
                                 payload,
                                 attempts,
                                 "worker died (broken process pool)",
@@ -560,6 +582,7 @@ class ExperimentRunner:
                             )
                         except Exception as err:
                             requeue(
+                                fn,
                                 payload,
                                 attempts,
                                 f"{type(err).__name__}: {err}",
@@ -570,7 +593,7 @@ class ExperimentRunner:
                     now = time.monotonic()
                     timed_out = [
                         future
-                        for future, (_, _, deadline) in running.items()
+                        for future, (*_, deadline) in running.items()
                         if deadline is not None and now > deadline
                     ]
 
@@ -579,52 +602,58 @@ class ExperimentRunner:
                     # the responsible tasks one execution each, requeue the
                     # innocent in-flight ones untouched, and rebuild.
                     for future in timed_out:
-                        payload, attempts, _ = running.pop(future)
+                        fn, payload, attempts, _ = running.pop(future)
                         requeue(
+                            fn,
                             payload,
                             attempts,
                             f"timed out after {self.task_timeout}s",
                             timed_out=True,
                         )
-                    for future, (payload, attempts, _) in list(running.items()):
+                    for fn, payload, attempts, _ in running.values():
                         if broken:
                             # The pool died with these in flight; any of
                             # them may be the killer, so each is charged.
                             requeue(
+                                fn,
                                 payload,
                                 attempts,
                                 "worker died (broken process pool)",
                                 timed_out=False,
                             )
                         else:
-                            pending.append((payload, attempts - 1, 0.0))
+                            pending.append((fn, payload, attempts - 1, 0.0))
                     running.clear()
                     self._kill_pool(pool)
                     rebuilds += 1
                     report.pool_rebuilds += 1
                     if rebuilds > self.max_pool_rebuilds:
                         report.serial_fallback = True
-                        yield from failed
-                        failed.clear()
-                        yield from self._run_serial(fn, [(p, a) for p, a, _ in pending], report)
-                        pending.clear()
+                        while failed:
+                            yield failed.popleft()
+                        carried = [(fn, p, a) for fn, p, a, _ in pending]
+                        yield from self._run_serial(queue, report, carried)
                         return
                     pool = ProcessPoolExecutor(max_workers=width)
-            yield from failed
-            failed.clear()
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _run_broker_tasks(
+    def _run_broker(
         self,
-        payloads: Sequence[dict],
+        to_discover: list[dict],
         report: RunnerReport,
-        progress: Any = None,
-    ) -> Iterator[tuple[dict, dict | TaskFailure]]:
-        """Execute the measure phase on a broker's worker fleet.
+        progress: Any,
+        plan: Callable[[dict, dict | TaskFailure], list[dict]],
+        measured: Callable[[dict, dict | TaskFailure], None],
+    ) -> None:
+        """Broker mode: discover in-process while the fleet measures.
 
-        Same (payload, outcome-or-failure) contract as :meth:`_run_tasks`;
-        fleet events the broker forwards (worker join/leave, re-leases,
+        Each discovery runs here, never inside
+        :meth:`~repro.distributed.client.BrokerClient.run_tasks`; its
+        misses are submitted at once, and between two discoveries the
+        results that have already arrived are drained without blocking.
+        Once every plan has landed the stream is drained to its end.
+        Fleet events the broker forwards (worker join/leave, re-leases,
         retries) update the report counters and the live progress view as
         they stream in.
         """
@@ -632,10 +661,7 @@ class ExperimentRunner:
 
         tel = _telemetry_current()
         tracer = tel.tracer if tel is not None else None
-        labels = {
-            TaskSpec.from_payload(payload).digest: TaskSpec.from_payload(payload).label
-            for payload in payloads
-        }
+        labels: dict[str, str] = {}  # digest -> label, for retry events
 
         def on_event(event: dict) -> None:
             kind = event.get("kind")
@@ -659,8 +685,8 @@ class ExperimentRunner:
                 # restart) kept computing and re-attached its lease.
                 report.tasks_reattached += 1
             elif kind == "client-reconnect":
-                # Synthetic, client-minted: our submit stream survived a
-                # broker outage and resubmitted the remainder.
+                # Synthetic, client-minted: our session survived a broker
+                # outage and resubmitted everything outstanding.
                 report.broker_reconnects += 1
             elif kind == "retry":
                 report.tasks_retried += 1
@@ -681,21 +707,38 @@ class ExperimentRunner:
             if progress is not None:
                 progress.note_fleet_event(event)
 
+        def outcomes(stream: Iterator) -> Iterator[tuple[dict, dict | TaskFailure]]:
+            for payload, bundle in stream:
+                self._check_shutdown()
+                if isinstance(bundle, RemoteTaskFailure):
+                    error = bundle.error
+                    if bundle.releases:
+                        error += f" (after {bundle.releases} re-lease(s))"
+                    bundle = TaskFailure(error=error, attempts=bundle.attempts)
+                yield payload, bundle
+
         client = BrokerClient(
             self.broker,
             on_event=on_event,
             auth_token=self.broker_auth_token,
             tls_ca=self.broker_tls_ca,
         )
-        for payload, bundle in client.run_tasks(list(payloads)):
-            self._check_shutdown()
-            if isinstance(bundle, RemoteTaskFailure):
-                error = bundle.error
-                if bundle.releases:
-                    error += f" (after {bundle.releases} re-lease(s))"
-                yield payload, TaskFailure(error=error, attempts=bundle.attempts)
-                continue
-            yield payload, bundle
+        results = outcomes(client.run_tasks())
+        try:
+            for payload in to_discover:
+                with _span("discover", component="runner", emit=True):
+                    for found in self._run_serial(deque([(discover_experiment, payload)]), report):
+                        misses = plan(*found)
+                        for miss in misses:
+                            spec = TaskSpec.from_payload(miss)
+                            labels[spec.digest] = spec.label
+                        client.submit(misses)
+                for result in islice(results, client.poll()):
+                    measured(*result)
+            for result in results:
+                measured(*result)
+        finally:
+            client.close()
 
     # ------------------------------------------------------------------
     # main flow
@@ -726,10 +769,8 @@ class ExperimentRunner:
         )
 
         try:
-            with _span("discover", component="runner", emit=True):
-                ready, plans = self._discover(ids, prof, journal_state, journal, report)
             with _span("measure", component="runner", emit=True):
-                outcomes = self._measure(ids, ready, plans, journal_state, journal, report)
+                ready, outcomes = self._measure(ids, prof, journal_state, journal, report)
             with _span("replay", component="runner", emit=True):
                 for experiment_id in ids:
                     if experiment_id in report.failures:
@@ -770,7 +811,7 @@ class ExperimentRunner:
         if self.cache is not None:
             self.cache.put(key, {"experiment_id": experiment_id, "result": payload})
 
-    def _discover(
+    def _measure(
         self,
         ids: list[str],
         prof: dict,
@@ -778,7 +819,13 @@ class ExperimentRunner:
         journal: Journal | None,
         report: RunnerReport,
     ) -> tuple[dict[str, Any], dict[str, list[dict]]]:
-        """Phase 1: resolve finished experiments, plan the rest."""
+        """Discover and measure in one loop.
+
+        Returns the finished results of experiments that need no replay
+        and the replicate outcomes of every measured point. Each plan is
+        handled as soon as its discovery lands, so measurement overlaps
+        the discoveries still running.
+        """
         ready: dict[str, Any] = {}
         to_discover: list[dict] = []
         for experiment_id in ids:
@@ -795,58 +842,14 @@ class ExperimentRunner:
                     continue
             to_discover.append({"experiment_id": experiment_id, "profile": prof})
 
-        plans: dict[str, list[dict]] = {}
-        for payload, found in self._run_tasks(discover_experiment, to_discover, report):
-            experiment_id = payload["experiment_id"]
-            if isinstance(found, TaskFailure):
-                report.failures[experiment_id] = found.error
-                report.experiments_failed += 1
-                continue
-            report.timings.add(f"discover:{experiment_id}", found["elapsed"], group="discover")
-            if found["result"] is not None:
-                # The generator made no measurement calls: its recording
-                # run was the real run and the result is already final.
-                result = result_from_payload(found["result"])
-                ready[experiment_id] = result
-                self._finish_experiment(experiment_id, prof, result, journal)
-            else:
-                plans[experiment_id] = found["points"]
-        return ready, plans
-
-    def _measure(
-        self,
-        ids: list[str],
-        ready: dict[str, Any],
-        plans: dict[str, list[dict]],
-        journal_state: JournalState,
-        journal: Journal | None,
-        report: RunnerReport,
-    ) -> dict[str, list[dict]]:
-        """Phase 2: execute every planned (cell, replicate) exactly once."""
-        # Merge the plans into one deduplicated spec set; a point requested
-        # by several experiments keeps its largest replicate count.
-        points: dict[str, dict] = {}
-        for experiment_id in ids:
-            for point in plans.get(experiment_id, ()):
-                spec0 = TaskSpec(point["kind"], point["params"], 0)
-                entry = points.setdefault(spec0.point_key, {**point, "replicates": 0})
-                entry["replicates"] = max(entry["replicates"], point["replicates"])
-
-        specs: list[TaskSpec] = []
-        for point in points.values():
-            for replicate in range(point["replicates"]):
-                specs.append(TaskSpec(point["kind"], point["params"], replicate))
-
-        outcomes: dict[str, list[dict | None]] = {
-            key: [None] * point["replicates"] for key, point in points.items()
-        }
-        report.tasks_total = len(specs)
+        # point key -> replicate outcomes, by replicate index (None until
+        # measured); a point's list grows when a later plan asks for more.
+        outcomes: dict[str, list[dict | None]] = {}
         progress: ProgressReporter | None = None
         if self.progress_stream is not None:
             reporter_cls = LiveStatusReporter if self.live_status else ProgressReporter
             kwargs = {"report": report} if self.live_status else {}
             progress = reporter_cls(
-                total=len(specs),
                 jobs=self.jobs,
                 stream=self.progress_stream,
                 min_interval=self.progress_interval,
@@ -903,8 +906,8 @@ class ExperimentRunner:
             if progress is not None:
                 progress.task_done(spec.label, 0.0, source="quarantined")
 
-        to_compute: list[dict] = []
-        for spec in specs:
+        def resolve(spec: TaskSpec) -> dict | None:
+            """Serve ``spec`` from the journal or cache, else its payload to compute."""
             digest = spec.digest
             journaled = journal_state.tasks.get(digest)
             if journaled is not None:
@@ -913,7 +916,7 @@ class ExperimentRunner:
                 account(spec, "journal")
                 if progress is not None:
                     progress.task_done(spec.label, 0.0, source="journal")
-                continue
+                return None
             past_quarantine = journal_state.quarantined.get(digest)
             if past_quarantine is not None:
                 # Quarantine is sticky across --resume: report it again
@@ -924,7 +927,7 @@ class ExperimentRunner:
                     int(past_quarantine["attempts"]),
                     journaled=True,
                 )
-                continue
+                return None
             cached = self.cache.get(digest) if self.cache is not None else None
             if cached is not None:
                 outcomes[spec.point_key][spec.replicate] = cached["outcome"]
@@ -950,7 +953,7 @@ class ExperimentRunner:
                 account(spec, source)
                 if progress is not None:
                     progress.task_done(spec.label, 0.0, source=source)
-                continue
+                return None
             payload = spec.payload()
             if self.broker is None and self.checkpoint_dir is not None:
                 # Runner plumbing, not task identity: from_payload/digest
@@ -974,13 +977,38 @@ class ExperimentRunner:
                     "submitted": time.time(),
                 }
                 payload["trace"] = {"trace": trace_id, "parent": root_id}
-            to_compute.append(payload)
+            return payload
 
-        if self.broker is not None:
-            task_stream = self._run_broker_tasks(to_compute, report, progress)
-        else:
-            task_stream = self._run_tasks(execute_task, to_compute, report)
-        for payload, computed in task_stream:
+        def plan(payload: dict, found: dict | TaskFailure) -> list[dict]:
+            """Handle one discovery result; returns the payloads to compute."""
+            experiment_id = payload["experiment_id"]
+            if isinstance(found, TaskFailure):
+                report.failures[experiment_id] = found.error
+                report.experiments_failed += 1
+                return []
+            report.timings.add(f"discover:{experiment_id}", found["elapsed"], group="discover")
+            if found["result"] is not None:
+                # The generator made no measurement calls: its recording
+                # run was the real run and the result is already final.
+                result = result_from_payload(found["result"])
+                ready[experiment_id] = result
+                self._finish_experiment(experiment_id, prof, result, journal)
+                return []
+            # Merge into the spec set: a point requested before adds only
+            # the replicate indices it does not have yet.
+            specs: list[TaskSpec] = []
+            for point in found["points"]:
+                have = outcomes.setdefault(point_key(point["kind"], point["params"]), [])
+                for replicate in range(len(have), point["replicates"]):
+                    have.append(None)
+                    specs.append(TaskSpec(point["kind"], point["params"], replicate))
+            report.tasks_total += len(specs)
+            if progress is not None:
+                progress.add_total(len(specs))
+            return [task for task in map(resolve, specs) if task is not None]
+
+        def measured(payload: dict, computed: dict | TaskFailure) -> None:
+            """Journal, cache, and account one measurement result."""
             spec = TaskSpec.from_payload(payload)
             if isinstance(computed, TaskFailure):
                 if tracer is not None:
@@ -1000,7 +1028,7 @@ class ExperimentRunner:
                             )
                         )
                 quarantine(spec, computed.error, computed.attempts, journaled=False)
-                continue
+                return
             outcome, elapsed = computed["outcome"], computed["elapsed"]
             outcomes[spec.point_key][spec.replicate] = outcome
             worker = computed.get("worker") if self.broker is not None else None
@@ -1093,6 +1121,19 @@ class ExperimentRunner:
                     params=spec.params,
                 )
 
+        if self.broker is None:
+            queue: deque[Item] = deque((discover_experiment, task) for task in to_discover)
+            for payload, outcome in self._run_tasks(queue, report):
+                if "experiment_id" in payload:
+                    with _span("discover", component="runner", emit=True):
+                        queue.extend((execute_task, task) for task in plan(payload, outcome))
+                else:
+                    measured(payload, outcome)
+        else:
+            self._run_broker(to_discover, report, progress, plan, measured)
+        if progress is not None:
+            progress.finish()
+
         if profiled_hotspots:
             from repro.telemetry.profiling import merge_hotspots
 
@@ -1111,7 +1152,7 @@ class ExperimentRunner:
                     f"measurement incomplete for point {key}"
                 )
             complete[key] = values  # type: ignore[assignment]
-        return complete
+        return ready, complete
 
 
 def run_experiments(

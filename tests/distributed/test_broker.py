@@ -84,6 +84,31 @@ class TestCompletion:
         assert collect(BrokerClient(broker.address), []) == {}
 
 
+class TestPersistentSession:
+    def test_submits_share_one_session_and_poll_never_blocks(
+        self, make_broker, stub_worker, tmp_path
+    ):
+        broker = make_broker(state_dir=tmp_path / "state")
+        client = BrokerClient(broker.address)
+        stream = client.run_tasks()
+        client.submit([payload_for(0)])
+        started = time.monotonic()
+        assert client.poll() == 0  # no worker yet: nothing to read, no wait
+        assert time.monotonic() - started < 0.5
+        stub_worker(broker.address, task_fn=stub_result, worker_id="late", exit_when_idle=False)
+        deadline = time.monotonic() + 10.0
+        while client.poll() < 1:
+            assert time.monotonic() < deadline, "result never arrived"
+            time.sleep(0.01)
+        first_payload, _ = next(stream)
+        client.submit([payload_for(1)])
+        rest = list(stream)
+        assert first_payload == payload_for(0)
+        assert [payload for payload, _ in rest] == [payload_for(1)]
+        starts = [e for e in read_events(tmp_path / "state") if e["event"] == "run-start"]
+        assert len(starts) == 1
+
+
 class TestSharedCache:
     def test_completion_lands_in_shared_cache_with_origin(
         self, make_broker, stub_worker, tmp_path

@@ -14,8 +14,18 @@ import json
 import pytest
 
 from repro.analysis.experiments import Profile, run_experiment
+from repro.distributed.broker import DONE
 from repro.errors import DistributedError
 from repro.parallel.runner import ExperimentRunner, run_experiments
+
+from ..parallel.fake_experiments import (
+    has_task_entry,
+    journal_order,
+    measuring,
+    pure_driver,
+    register,
+    until,
+)
 
 TINY = Profile(name="tiny", n=256, measure=30, replicates=2, seed=4242)
 
@@ -143,3 +153,96 @@ class TestBrokerProgress:
         # fleet line shows live membership.
         assert "workers" in text
         assert "fleet" in text
+
+
+class TestOverlap:
+    """The fleet measures while the client discovers the next experiment."""
+
+    def test_fleet_measures_during_in_process_discovery(self, fleet, tmp_path, monkeypatch):
+        journal_path = tmp_path / "journal.jsonl"
+        saw = {}
+
+        def fleet_finished_fast():
+            # In-process discovery: returns once the fleet has computed
+            # both of fast's tasks, or gives up after 5 s.
+            tasks = fleet.broker.tasks
+            saw["fleet"] = until(
+                lambda: len(tasks) == 2 and all(t.status == DONE for t in tasks.values())
+            )
+
+        def journal_has_a_task():
+            saw["journal"] = until(lambda: has_task_entry(journal_path))
+
+        register(
+            monkeypatch,
+            fast=measuring("fast"),
+            slow=pure_driver("slow", fleet_finished_fast),
+            slower=pure_driver("slower", journal_has_a_task),
+        )
+        ids = ["fast", "slow", "slower"]
+        report = run_experiments(ids, profile=TINY, broker=fleet.address, journal_path=journal_path)
+        assert not report.failures
+        assert saw == {"fleet": True, "journal": True}
+        first_task, finished = journal_order(journal_path)
+        assert first_task < finished["slower"]
+        assert report.tasks_remote == report.tasks_total == 2
+        for result in report.results:
+            assert result.csv() == run_experiment(result.experiment_id, TINY).csv()
+
+    def test_later_plan_adds_only_missing_replicates(self, fleet, monkeypatch):
+        register(monkeypatch, one=measuring("one", replicates=1), three=measuring("three", 3))
+        report = run_experiments(["one", "three"], profile=TINY, broker=fleet.address)
+        assert report.tasks_total == report.tasks_remote == 3
+        assert len(fleet.broker.tasks) == 3
+        for result in report.results:
+            assert result.csv() == run_experiment(result.experiment_id, TINY).csv()
+
+
+class TestRestartBetweenSubmits:
+    @pytest.mark.parametrize("tls", [False, True], ids=["plain", "tls"])
+    def test_every_key_resolves_once(self, make_broker, stub_worker, tmp_path, monkeypatch, tls, request):
+        tls_kwargs: dict = {}
+        ca = None
+        if tls:
+            cert, key = request.getfixturevalue("certs")
+            tls_kwargs, ca = {"tls_cert": cert, "tls_key": key}, cert
+        # No worker on the first broker: the first submit stays queued there.
+        first = make_broker(**tls_kwargs)
+        port = first.broker.port
+        restarted = []
+
+        def restart_broker():
+            if restarted:
+                return  # replay re-runs this generator; restart only once
+            first.stop()
+            second = make_broker(port=port, **tls_kwargs)
+            stub_worker(second.address, worker_id="after-restart", tls_ca=ca)
+            restarted.append(second)
+
+        register(
+            monkeypatch,
+            before=measuring("before", replicates=2),
+            restart=pure_driver("restart", restart_broker),
+            after=measuring("after", replicates=3),
+        )
+        journal_path = tmp_path / "journal.jsonl"
+        report = run_experiments(
+            ["before", "restart", "after"],
+            profile=TINY,
+            broker=first.address,
+            broker_tls_ca=ca,
+            journal_path=journal_path,
+        )
+        assert not report.failures
+        assert report.broker_reconnects >= 1
+        assert report.tasks_total == report.tasks_remote == 3
+        journaled = [
+            json.loads(line)["key"]
+            for line in journal_path.read_text().splitlines()
+            if json.loads(line)["type"] == "task"
+        ]
+        assert len(journaled) == len(set(journaled)) == 3
+        (second,) = restarted
+        assert set(second.broker.tasks) == set(journaled)
+        for result in report.results:
+            assert result.csv() == run_experiment(result.experiment_id, TINY).csv()

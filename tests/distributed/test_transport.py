@@ -4,6 +4,10 @@ A worker writes ``complete`` and then ``lease`` back to back. With
 Nagle's algorithm on, the small ``lease`` frame waits for the broker to
 ACK ``complete``; the broker has nothing to send back, so the ACK comes
 from its delayed-ACK timer (~40 ms on Linux) and every task pays it.
+
+A client that stops reading for a while (it discovers the next
+experiment in-process) must not stall the fleet: the broker queues its
+frames instead of waiting for it to drain them.
 """
 
 from __future__ import annotations
@@ -81,3 +85,31 @@ class TestDispatchLatency:
             arrivals.append(time.perf_counter())
         gaps = [later - earlier for earlier, later in zip(arrivals, arrivals[1:])]
         assert statistics.median(gaps) < 0.010, f"median round trip {statistics.median(gaps):.4f}s"
+
+
+class TestSlowReader:
+    def test_a_client_that_is_not_reading_does_not_stall_the_fleet(
+        self, make_broker, stub_worker
+    ):
+        broker = make_broker()
+        computed = []
+
+        def fat_result(payload):
+            bundle = stub_result(payload)
+            bundle["outcome"]["padding"] = "x" * 65536  # 64 KB per result
+            computed.append(time.monotonic())
+            return bundle
+
+        client = BrokerClient(broker.address)
+        payloads = [payload_for(i) for i in range(200)]
+        client.submit(payloads)
+        started = time.monotonic()
+        stub_worker(broker.address, task_fn=fat_result, worker_id="busy", jobs=1)
+        time.sleep(2.0)  # the client reads nothing, as during a long discovery
+        assert len(computed) == 200, f"fleet stalled after {len(computed)} of 200 tasks"
+        assert computed[-1] - started < 2.0
+        results = list(client.run_tasks())
+        assert len(results) == 200
+        for payload, bundle in results:
+            assert not isinstance(bundle, RemoteTaskFailure)
+            assert bundle["outcome"]["echo"] == payload["params"]

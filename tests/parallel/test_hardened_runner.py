@@ -3,8 +3,8 @@ broken-pool recovery, and graceful degradation to serial execution.
 
 Two layers of tests:
 
-* **fabric tests** drive ``ExperimentRunner._run_tasks`` directly with tiny
-  module-level functions (pickle-friendly) that fail/hang/crash on demand,
+* **fabric tests** drive ``ExperimentRunner._run_tasks`` directly with a
+  queue of tiny module-level functions (pickle-friendly) that fail/hang/crash on demand,
   coordinated through marker files so "fail exactly once" works across
   worker processes;
 * **end-to-end tests** run a real experiment under the ``REPRO_CHAOS``
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -81,7 +82,7 @@ def _payloads(tmp_path, count):
 def _run(runner, fn, payloads):
     report = RunnerReport()
     outcomes = dict()
-    for payload, outcome in runner._run_tasks(fn, payloads, report):
+    for payload, outcome in runner._run_tasks(deque((fn, p) for p in payloads), report):
         assert payload["i"] not in outcomes, "payload yielded twice"
         outcomes[payload["i"]] = outcome
     # Accounting invariant: exactly one outcome per payload, success or not.

@@ -94,10 +94,11 @@ class TestProgressReporter:
         reporter = ProgressReporter(total=2, stream=stream, min_interval=0.0)
         reporter.task_done("a", 0.5)
         reporter.task_done("b", 0.5)
+        reporter.finish()
         text = stream.getvalue()
         assert text.startswith("\r")
         assert text.count("\r") == 2
-        assert text.endswith("\n")  # final frame gets the newline
+        assert text.endswith("\n")  # finish() ends the final frame
 
     def test_tty_pads_shorter_frames(self):
         stream = FakeTTY()
@@ -116,6 +117,62 @@ class TestProgressReporter:
         reporter = ProgressReporter(total=3, stream=io.StringIO(), min_interval=0.0)
         reporter.task_done("a", 0.0, source="cache")
         assert reporter.computed == 0
+
+
+class TestGrowingTotal:
+    """Plans land while tasks finish: the total grows, finish() ends the run."""
+
+    def drive(self, reporter):
+        reporter.add_total(2)
+        reporter.task_done("a", 0.5)
+        reporter.task_done("b", 0.5)  # done == total, yet the run goes on
+        reporter.add_total(3)
+        reporter.task_done("c", 0.5)
+
+    def test_total_grows_as_plans_land(self):
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = io.StringIO()
+            reporter = cls(stream=stream, min_interval=0.0)
+            self.drive(reporter)
+            assert reporter.total == 5
+            lines = stream.getvalue().splitlines()
+            assert lines[1].startswith("[2/2] b") and lines[2].startswith("[3/5] c")
+            assert "eta" in lines[2]
+
+    def test_no_final_line_before_finish(self):
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = FakeTTY()
+            reporter = cls(stream=stream, min_interval=0.0)
+            self.drive(reporter)
+            assert not stream.getvalue().endswith("\n")
+            reporter.finish()
+            assert stream.getvalue().endswith("\n")
+            assert stream.getvalue().count("\n") == 1
+
+    def test_finish_shows_a_throttled_last_task(self):
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = io.StringIO()
+            reporter = cls(stream=stream, min_interval=3600.0)
+            self.drive(reporter)
+            assert stream.getvalue().count("\n") == 1  # only the first task printed
+            reporter.finish()
+            last = stream.getvalue().splitlines()[-1]
+            assert last.startswith("[3/5] c (computed, 0.50s)")
+            assert "eta" not in last
+
+    def test_finish_does_not_repeat_a_shown_line(self):
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = io.StringIO()
+            reporter = cls(stream=stream, min_interval=0.0)
+            self.drive(reporter)
+            reporter.finish()
+            assert stream.getvalue().count("\n") == 3
+
+    def test_finish_without_tasks_prints_nothing(self):
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = FakeTTY()
+            cls(stream=stream, min_interval=0.0).finish()
+            assert stream.getvalue() == ""
 
 
 class TestLiveStatusReporter:

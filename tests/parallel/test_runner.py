@@ -15,6 +15,16 @@ from repro.errors import ParallelExecutionError
 from repro.parallel import ExperimentRunner, Journal
 from repro.parallel.runner import run_experiments
 
+from .fake_experiments import (
+    has_task_entry,
+    journal_entries,
+    journal_order,
+    measuring,
+    pure_driver,
+    register,
+    until,
+)
+
 TINY = Profile(name="tiny", n=256, measure=30, replicates=2, seed=4242)
 
 
@@ -154,3 +164,58 @@ class TestRunnerValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ParallelExecutionError):
             ExperimentRunner(profile=TINY, jobs=0)
+
+
+class TestOverlap:
+    """Measurement starts as soon as a plan lands, not after every discovery."""
+
+    def test_pool_measures_while_a_slow_discovery_runs(self, tmp_path, monkeypatch):
+        journal_path = tmp_path / "journal.jsonl"
+        seen = tmp_path / "slow-saw-a-task"
+
+        def wait_for_a_journaled_task():
+            # Runs on a pool worker: it returns once the parent has
+            # journaled a measurement task, or gives up after 5 s.
+            if journal_path.exists() and until(lambda: has_task_entry(journal_path)):
+                seen.touch()
+
+        register(
+            monkeypatch, slow=pure_driver("slow", wait_for_a_journaled_task), fast=measuring("fast")
+        )
+        report = run_experiments(["slow", "fast"], profile=TINY, jobs=2, journal_path=journal_path)
+        assert not report.failures
+        assert seen.exists()
+        first_task, finished = journal_order(journal_path)
+        assert first_task < finished["slow"]
+        for result in report.results:
+            assert result.csv() == run_experiment(result.experiment_id, TINY).csv()
+
+    def test_a_single_task_still_runs_on_the_pool(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.telemetry import runtime
+        from repro.telemetry.tracing import Tracer, assemble_traces, read_spans
+
+        register(monkeypatch, single=measuring("single", replicates=1))
+        trace_path = tmp_path / "trace.jsonl"
+        with runtime.session(tracer=Tracer(trace_path)):
+            report = run_experiments(["single"], profile=TINY, jobs=2)
+        assert report.tasks_computed == 1
+        (trace,) = assemble_traces(read_spans(trace_path))
+        (running,) = trace.named("running")
+        assert running["attrs"]["pid"] != os.getpid()
+
+
+class TestPlanMerge:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_later_plan_adds_only_missing_replicates(self, tmp_path, monkeypatch, jobs):
+        register(monkeypatch, one=measuring("one", replicates=1), three=measuring("three", 3))
+        journal_path = tmp_path / "journal.jsonl"
+        report = run_experiments(
+            ["one", "three"], profile=TINY, jobs=jobs, journal_path=journal_path
+        )
+        assert report.tasks_total == report.tasks_computed == 3
+        tasks = [e for e in journal_entries(journal_path) if e["type"] == "task"]
+        assert sorted(e["spec"]["replicate"] for e in tasks) == [0, 1, 2]
+        for result in report.results:
+            assert result.csv() == run_experiment(result.experiment_id, TINY).csv()
