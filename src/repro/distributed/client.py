@@ -31,6 +31,7 @@ the runner can report how many broker outages the sweep rode out.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import socket
 import ssl
@@ -254,20 +255,17 @@ class BrokerClient:
             self.close()
 
     def close(self) -> None:
-        """End the session (a polite ``bye`` when the stream is idle)."""
+        """End the session (a polite ``bye`` when nothing is outstanding)."""
+        if self._sock is not None and not self._entries:
+            with contextlib.suppress(OSError):
+                send_frame(self._sock, {"type": "bye"})
+        self._drop()
+
+    def _drop(self) -> None:
         sock, self._sock = self._sock, None
-        if sock is None:
-            return
-        try:
-            if not self._entries:
-                send_frame(sock, {"type": "bye"})
-        except OSError:
-            pass
-        finally:
-            try:
+        if sock is not None:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:  # pragma: no cover - close races
-                pass
 
     def _open(self) -> None:
         """Connect, then submit every outstanding entry in one frame."""
@@ -313,12 +311,7 @@ class BrokerClient:
 
     def _recover(self, err: Exception) -> None:
         """Replace a torn session: back off, reconnect, resubmit."""
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close races
-                pass
+        self._drop()
         self._count_failure(err, "consecutive stream failures")
         self._open()
 
