@@ -108,6 +108,10 @@ class CappedProcess:
     48
     """
 
+    #: Name of the RNG stream derived from a seed or factory; subclasses
+    #: that throw differently draw from a stream of their own.
+    rng_stream = "capped"
+
     def __init__(
         self,
         n: int,
@@ -139,7 +143,7 @@ class CappedProcess:
         self.lam = lam
         self.acceptance_order = acceptance_order
         self.kernel = kernel
-        self.rng = resolve_rng(rng, "capped")
+        self.rng = resolve_rng(rng, self.rng_stream)
         self.arrivals = arrivals if arrivals is not None else DeterministicArrivals(n=n, lam=lam)
         self.pool = AgePool()
         if initial_pool:

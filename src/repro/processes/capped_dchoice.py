@@ -12,7 +12,10 @@ paper's design discussion invites.
 free buffer space at the *beginning of the round* (batch semantics, as in
 GREEDY[d]; ties towards the first-sampled probe). Acceptance and FIFO
 deletion are unchanged: the oldest requests win, capacity caps admissions,
-rejected balls return to the pool.
+rejected balls return to the pool. Only the throw differs, so the class is
+a :class:`~repro.core.capped.CappedProcess` that overrides how the round's
+bin choices are drawn; the round loop, the fused/serial kernel dispatch,
+checkpointing and the invariants are inherited.
 
 For d = 1 this is exactly CAPPED(c, λ) up to how randomness is consumed
 (the test suite checks distributional agreement). The ablation bench shows
@@ -24,21 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.balls.bin_array import BinArray
-from repro.balls.pool import AgePool
-from repro.engine.metrics import RoundRecord
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.core.capped import CappedProcess
+from repro.errors import ConfigurationError
 from repro.kernels.round import positional_waits as _positional_waits
-from repro.kernels.round import resolve_capped_round, wait_histogram as _wait_histogram
-from repro.rng import resolve_rng
-from repro.workloads.arrivals import ArrivalProcess, DeterministicArrivals
+from repro.processes.greedy import least_loaded
+from repro.telemetry.runtime import PhaseClock
+from repro.workloads.arrivals import ArrivalProcess
 
 __all__ = ["CappedDChoiceProcess"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-class CappedDChoiceProcess:
+class CappedDChoiceProcess(CappedProcess):
     """CAPPED(c, λ) where each ball probes ``d`` bins per round.
 
     Parameters
@@ -50,11 +51,17 @@ class CappedDChoiceProcess:
         Probes per ball per round; d = 1 recovers the paper's process.
     kernel:
         ``"fused"`` (default) commits every ball's probes in one draw and
-        resolves acceptance in one counting pass; ``"legacy"`` is the
-        per-bucket sweep. Bit-identical for the same seed, including RNG
-        consumption (row-major ``(count, d)`` draws concatenate to one
-        ``(thrown, d)`` draw — see ``docs/kernels.md``).
+        resolves acceptance in one kernel call (the serial whole-round
+        kernel for c ≥ 2); ``"legacy"`` is the per-bucket sweep.
+        Bit-identical for the same seed, including RNG consumption
+        (row-major ``(count, d)`` draws concatenate to one ``(thrown, d)``
+        draw — see ``docs/kernels.md``).
+
+    Choices injected through :meth:`step` are the committed bins, one per
+    thrown ball oldest first; no probes are drawn for them.
     """
+
+    rng_stream = "capped-dchoice"
 
     def __init__(
         self,
@@ -67,80 +74,46 @@ class CappedDChoiceProcess:
         initial_pool: int = 0,
         kernel: str = "fused",
     ) -> None:
-        if n < 1:
-            raise ConfigurationError(f"need at least one bin, got n={n}")
         if capacity is None or capacity < 1:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity}")
         if d < 1:
             raise ConfigurationError(f"need at least one probe, got d={d}")
-        if initial_pool < 0:
-            raise ConfigurationError(f"initial_pool must be non-negative, got {initial_pool}")
-        if kernel not in ("fused", "legacy"):
-            raise ConfigurationError(f"kernel must be 'fused' or 'legacy', got {kernel!r}")
-        self.n = n
-        self.capacity = capacity
-        self.lam = lam
+        super().__init__(
+            n, capacity, lam, rng=rng, arrivals=arrivals, initial_pool=initial_pool, kernel=kernel
+        )
         self.d = d
-        self.kernel = kernel
-        self.rng = resolve_rng(rng, "capped-dchoice")
-        self.arrivals = arrivals if arrivals is not None else DeterministicArrivals(n=n, lam=lam)
-        self.pool = AgePool()
-        if initial_pool:
-            self.pool.add(0, initial_pool)
-        self.bins = BinArray(n, capacity)
-        self.round = 0
 
-    @property
-    def pool_size(self) -> int:
-        """Current pool size ``m(t)``."""
-        return self.pool.size
-
-    def _commit(self, count: int, start_loads: np.ndarray) -> np.ndarray:
-        """Sample d probes per ball; commit to the emptiest probed bin.
+    def _draw_choices(self, thrown: int) -> np.ndarray:
+        """Probe ``d`` bins per ball; commit to the emptiest probed bin.
 
         Start-of-round loads only (batch semantics); ties go to the first
-        sampled probe, matching the GREEDY[d] baseline's rule.
+        sampled probe, matching the GREEDY[d] baseline's rule. One
+        ``(thrown, d)`` draw per round — no prefetch buffer, since the
+        commit reads loads that change every round.
         """
-        probes = self.rng.integers(0, self.n, size=(count, self.d))
-        if self.d == 1:
-            return probes[:, 0]
-        best = np.argmin(start_loads[probes], axis=1)
-        return probes[np.arange(count), best]
+        probes = self.rng.integers(0, self.n, size=(thrown, self.d))
+        return least_loaded(probes, self.bins.loads)
 
-    def _resolve_fused(self, t: int, thrown: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """One draw, one commit, one counting acceptance pass for all buckets.
-
-        Returns ``(accepted_total, wait_values, wait_counts)`` — see
-        :meth:`repro.core.capped.CappedProcess._resolve_fused`.
-        """
-        labels, counts = self.pool.as_arrays()
-        committed = self._commit(thrown, self.bins.loads)
-        resolved = resolve_capped_round(
-            self.bins.free_slots(),
-            self.bins.loads,
-            committed,
-            counts,
-            t - labels,
-            sort_runs=False,
-            need_runs=False,
-        )
-        if resolved.accepted_total:
-            self.bins.commit_accepted(resolved.accepted_per_key, resolved.accepted_total)
-            self.pool.remove_bulk(resolved.accepted_per_bucket)
-        if resolved.wait_hist is not None:
-            return resolved.accepted_total, *resolved.wait_hist
-        return resolved.accepted_total, *_wait_histogram(resolved.waits)
-
-    def _resolve_legacy(self, t: int) -> tuple[int, np.ndarray]:
+    def _resolve_legacy(
+        self,
+        t: int,
+        choices: np.ndarray | None,
+        clock: PhaseClock | None = None,
+    ) -> tuple[int, np.ndarray]:
         """The original per-bucket sweep — the executable reference.
 
-        Commits are drawn up front (loads are untouched until the first
-        accept, so no defensive copy is needed) and pool removals are
-        committed in one bulk call, so the sweep never iterates a mutating
-        structure.
+        Commits are drawn up front, one ``(count, d)`` draw per bucket
+        (loads are untouched until the first accept, so no defensive copy
+        is needed), and pool removals are committed in one bulk call, so
+        the sweep never iterates a mutating structure.
         """
         labels, counts = self.pool.as_arrays()
-        committed_chunks = [self._commit(int(count), self.bins.loads) for count in counts]
+        if choices is None:
+            committed_chunks = [self._draw_choices(int(count)) for count in counts]
+        else:
+            committed_chunks = np.split(np.asarray(choices), np.cumsum(counts)[:-1])
+        if clock is not None:
+            clock.lap("throw")
 
         wait_chunks: list[np.ndarray] = []
         removed = np.zeros(len(labels), dtype=np.int64)
@@ -159,58 +132,3 @@ class CappedDChoiceProcess:
 
         waits = np.concatenate(wait_chunks) if wait_chunks else _EMPTY
         return int(removed.sum()), waits
-
-    def step(self) -> RoundRecord:
-        """Advance one round: probe, commit, capped-accept, FIFO-delete."""
-        self.round += 1
-        t = self.round
-
-        generated = self.arrivals.arrivals(t, self.rng)
-        self.pool.add(t, generated)
-        thrown = self.pool.size
-
-        if self.kernel == "fused":
-            accepted_total, wait_values, wait_counts = self._resolve_fused(t, thrown)
-        else:
-            accepted_total, waits = self._resolve_legacy(t)
-            wait_values, wait_counts = _wait_histogram(waits)
-
-        deleted = self.bins.delete_one_each()
-
-        return RoundRecord(
-            round=t,
-            arrivals=generated,
-            thrown=thrown,
-            accepted=accepted_total,
-            deleted=deleted,
-            pool_size=self.pool.size,
-            total_load=self.bins.total_load,
-            max_load=int(self.bins.loads.max()),
-            wait_values=wait_values,
-            wait_counts=wait_counts,
-        )
-
-    def check_invariants(self) -> None:
-        """Pool and bin-state consistency."""
-        self.pool.check_invariants()
-        self.bins.check_invariants()
-        oldest = self.pool.oldest_label
-        if oldest is not None and oldest > self.round:
-            raise InvariantViolation("pool contains balls from the future")
-
-    def get_state(self) -> dict:
-        """Checkpoint the full process state (pool, bins, RNG, round)."""
-        return {
-            "round": self.round,
-            "pool": self.pool.get_state(),
-            "bins": self.bins.get_state(),
-            "rng": self.rng.bit_generator.state,
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore a snapshot from :meth:`get_state` (same n/c/λ/d process)."""
-        self.round = int(state["round"])
-        self.pool.set_state(state["pool"])
-        self.bins.set_state(state["bins"])
-        self.rng.bit_generator.state = state["rng"]
-        self.check_invariants()

@@ -21,6 +21,14 @@ Waiting times use the position identity (see
 :mod:`repro.balls.bin_array`): with one deletion per non-empty bin per
 round, a ball entering queue position ``p`` in round ``t`` is served at the
 end of round ``t + p``, so its waiting time ``p`` is known at arrival.
+Only the round's wait *histogram* is recorded, so the balls never need
+ranking: a bin holding ``ℓ`` balls that receives ``r`` of this round's
+balls hands out the waits ``ℓ, ℓ+1, …, ℓ+r−1`` whatever their order, and
+the histogram is the prefix sum of ``+1`` at every ``ℓ`` and ``−1`` at
+every ``ℓ + r`` (interval counting: two bincounts and a cumsum, no sort).
+
+The least-loaded commit, :func:`least_loaded`, is shared with
+:class:`~repro.processes.capped_dchoice.CappedDChoiceProcess`.
 
 GREEDY[1] is distributionally identical to CAPPED(∞, λ); the test suite
 cross-validates the two implementations.
@@ -35,30 +43,52 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.rng import resolve_rng
 from repro.workloads.arrivals import ArrivalProcess, DeterministicArrivals
 
-__all__ = ["GreedyBatchProcess"]
+__all__ = ["GreedyBatchProcess", "interval_wait_histogram", "least_loaded"]
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _ranks_within_groups(groups: np.ndarray) -> np.ndarray:
-    """Arrival rank of each element among equal values of ``groups``.
+def least_loaded(probes: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Commit each ball to its least-loaded probe.
 
-    ``groups[k]`` is the bin ball ``k`` committed to; the result gives each
-    ball its 0-based position among this round's arrivals to the same bin,
-    in ball order (the arbitrary-but-fixed batch tie-break).
+    ``probes`` is a ``(count, d)`` block of bin indices, one row per ball;
+    ``loads`` are the bin loads the comparison reads. The d columns are
+    scanned left to right with a strict ``<``, so ties go to the
+    first-sampled minimum — ``probes[arange, argmin(loads[probes], 1)]``
+    without the per-row ``argmin`` or the fancy gather.
     """
-    order = np.argsort(groups, kind="stable")
-    sorted_groups = groups[order]
-    boundaries = np.empty(len(groups), dtype=bool)
-    if len(groups):
-        boundaries[0] = True
-        boundaries[1:] = sorted_groups[1:] != sorted_groups[:-1]
-    group_starts = np.where(boundaries, np.arange(len(groups)), 0)
-    np.maximum.accumulate(group_starts, out=group_starts)
-    ranks_sorted = np.arange(len(groups)) - group_starts
-    ranks = np.empty(len(groups), dtype=np.int64)
-    ranks[order] = ranks_sorted
-    return ranks
+    best = probes[:, 0]
+    if probes.shape[1] > 1:
+        best_load = loads[best]
+        for j in range(1, probes.shape[1]):
+            probe = probes[:, j]
+            probe_load = loads[probe]
+            better = probe_load < best_load
+            best = np.where(better, probe, best)
+            best_load = np.minimum(best_load, probe_load)
+    return best
+
+
+def interval_wait_histogram(
+    loads: np.ndarray, requests: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wait histogram ``(values, counts)`` of one round's arrivals.
+
+    Bin ``i`` holds ``loads[i]`` balls at the start of the round and
+    receives ``requests[i]`` new ones, which take the queue positions —
+    hence the waits — ``loads[i] … loads[i] + requests[i] − 1`` in some
+    order. The prefix sum of ``+1`` at every interval start and ``−1`` at
+    every interval end counts the balls at each wait, so no ball is ever
+    ranked within its bin. Equal to ``np.unique(waits, return_counts=True)``
+    of the per-ball waits, dtypes included.
+    """
+    hit = np.flatnonzero(requests)
+    low = loads[hit]
+    high = low + requests[hit]
+    size = int(high.max(initial=0)) + 1
+    occupancy = np.cumsum(np.bincount(low, minlength=size) - np.bincount(high, minlength=size))
+    values = np.flatnonzero(occupancy)
+    return values, occupancy[values]
 
 
 class GreedyBatchProcess:
@@ -121,36 +151,26 @@ class GreedyBatchProcess:
         """
         if arrivals == 0:
             return _EMPTY
-        choices = self.rng.integers(0, self.n, size=(arrivals, self.d))
-        if self.d == 1:
-            return choices[:, 0]
-        chosen_loads = self.loads[choices]
-        best = np.argmin(chosen_loads, axis=1)  # first minimum wins ties
-        return choices[np.arange(arrivals), best]
+        return least_loaded(self.rng.integers(0, self.n, size=(arrivals, self.d)), self.loads)
 
     def step(self) -> RoundRecord:
         """Advance one round of batch GREEDY[d]."""
         self.round += 1
         t = self.round
+        loads = self.loads
 
         generated = self.arrivals.arrivals(t, self.rng)
-        committed = self.commit_bins(generated)
+        requests = np.bincount(self.commit_bins(generated), minlength=self.n)
+        wait_values, wait_counts = interval_wait_histogram(loads, requests)
+        loads += requests
 
-        if generated:
-            ranks = _ranks_within_groups(committed)
-            waits = self.loads[committed] + ranks
-            wait_values, wait_counts = np.unique(waits, return_counts=True)
-            self.loads += np.bincount(committed, minlength=self.n)
-        else:
-            wait_values, wait_counts = _EMPTY, _EMPTY
-
-        peak = int(self.loads.max())
+        peak = int(loads.max())
         if peak > self.peak_load:
             self.peak_load = peak
 
-        nonempty = self.loads > 0
+        nonempty = loads > 0
         deleted = int(np.count_nonzero(nonempty))
-        self.loads[nonempty] -= 1
+        loads -= nonempty
 
         return RoundRecord(
             round=t,
@@ -159,8 +179,8 @@ class GreedyBatchProcess:
             accepted=generated,
             deleted=deleted,
             pool_size=0,
-            total_load=int(self.loads.sum()),
-            max_load=int(self.loads.max()),
+            total_load=int(loads.sum()),
+            max_load=max(peak - 1, 0),
             wait_values=wait_values,
             wait_counts=wait_counts,
         )

@@ -13,6 +13,7 @@ import pytest
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.processes.greedy import GreedyBatchProcess
+from tests.processes.test_greedy import _ranks_within_groups
 
 
 def test_statistics_match_distributionally():
@@ -32,27 +33,25 @@ def test_identical_under_shared_choices():
     arrivals = round(lam * n)
     for _ in range(rounds):
         choices = choice_rng.integers(0, n, size=arrivals)
+        # The sort-based oracle: each ball waits its bin's start load plus
+        # its rank among this round's arrivals to that bin.
+        oracle_waits = greedy.loads[choices] + _ranks_within_groups(choices)
 
         capped_record = capped.step(choices=choices)
+        # Drive GREEDY with the same committed bins.
+        greedy.commit_bins = lambda count, committed=choices: committed
+        greedy_record = greedy.step()
 
-        # Drive GREEDY with the same committed bins by monkey-injecting.
-        greedy_record_arrivals = arrivals
-        committed = choices
-        ranks_waits = greedy.loads[committed].copy()
-        from repro.processes.greedy import _ranks_within_groups
-
-        waits = ranks_waits + _ranks_within_groups(committed)
-        greedy.loads += np.bincount(committed, minlength=n)
-        nonempty = greedy.loads > 0
-        greedy.loads[nonempty] -= 1
-        greedy.round += 1
-
-        assert capped_record.accepted == greedy_record_arrivals
+        assert capped_record.accepted == greedy_record.accepted == arrivals
         # Load vectors identical after the round.
         assert capped.bins.loads.tolist() == greedy.loads.tolist()
-        # Wait multisets identical (CAPPED(inf) records the same positions).
-        capped_waits = np.repeat(capped_record.wait_values, capped_record.wait_counts)
-        assert sorted(capped_waits.tolist()) == sorted(waits.tolist())
+        assert capped_record.max_load == greedy_record.max_load
+        assert capped_record.total_load == greedy_record.total_load
+        # Wait histograms identical to each other and to the oracle's.
+        expected_values, expected_counts = np.unique(oracle_waits, return_counts=True)
+        for record in (capped_record, greedy_record):
+            assert record.wait_values.tolist() == expected_values.tolist()
+            assert record.wait_counts.tolist() == expected_counts.tolist()
 
 
 def test_pool_always_empty_for_infinite_capacity():

@@ -1,13 +1,16 @@
 """Integration: checkpoint/restore resumes identical trajectories everywhere.
 
-Every checkpointable process (CAPPED, MODCAPPED, GREEDY) must replay the
-exact same future after a snapshot round-trip — including its RNG state.
+Every checkpointable process (CAPPED, MODCAPPED, GREEDY, d-choice CAPPED)
+must replay the
+exact same future after a snapshot round-trip — including its RNG
+state.
 """
 
 import pytest
 
 from repro.core.capped import CappedProcess
 from repro.core.modcapped import ModCappedProcess
+from repro.processes.capped_dchoice import CappedDChoiceProcess
 from repro.processes.greedy import GreedyBatchProcess
 
 
@@ -20,6 +23,7 @@ def trajectory(process, rounds):
 
 FACTORIES = {
     "capped": lambda seed: CappedProcess(n=48, capacity=2, lam=0.75, rng=seed),
+    "capped_dchoice": lambda seed: CappedDChoiceProcess(n=48, capacity=2, lam=0.75, rng=seed),
     "modcapped": lambda seed: ModCappedProcess(n=48, c=3, lam=0.75, rng=seed),
     "greedy": lambda seed: GreedyBatchProcess(n=48, d=2, lam=0.75, rng=seed),
 }

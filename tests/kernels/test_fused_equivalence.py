@@ -124,6 +124,8 @@ class TestDChoiceFusedVsLegacy:
             dict(n=64, capacity=4, lam=0.984375, d=3),
             dict(n=64, capacity=2, lam=0.25, d=2),  # pool empties regularly
             dict(n=64, capacity=2, lam=0.9375, d=2, initial_pool=80),
+            dict(n=64, capacity=3, lam=0.9375, d=1),  # serial kernel
+            dict(n=64, capacity=4, lam=0.984375, d=2, initial_pool=120),
         ],
         ids=lambda c: str(sorted(c.items())),
     )
@@ -140,6 +142,19 @@ class TestDChoiceFusedVsLegacy:
         for a, b in zip(fused, legacy):
             assert_records_equal(a, b, context=f"round {a.round}: {config}")
         assert np.array_equal(p1.bins.loads, p2.bins.loads)
+
+    def test_identical_injected_choices(self):
+        # Injected choices are the committed bins: no probes are drawn, and
+        # both kernels must resolve them identically.
+        n, lam = 32, 0.875
+        fused = CappedDChoiceProcess(n=n, capacity=3, lam=lam, rng=0, kernel="fused")
+        legacy = CappedDChoiceProcess(n=n, capacity=3, lam=lam, rng=0, kernel="legacy")
+        choice_rng = np.random.default_rng(42)
+        for _ in range(120):
+            thrown = fused.pool.size + round(lam * n)
+            choices = choice_rng.integers(0, n, size=thrown)
+            assert_records_equal(fused.step(choices=choices), legacy.step(choices=choices))
+        assert fused.rng.bit_generator.state == legacy.rng.bit_generator.state
 
 
 class TestFusedUnderFaults:

@@ -5,6 +5,18 @@ import pytest
 from repro.engine.driver import SimulationDriver
 from repro.errors import ConfigurationError
 from repro.processes.capped_dchoice import CappedDChoiceProcess
+from repro.rng import RngFactory
+
+
+def summary(record):
+    return (
+        record.accepted,
+        record.pool_size,
+        record.max_load,
+        record.total_load,
+        record.wait_values.tolist(),
+        record.wait_counts.tolist(),
+    )
 
 
 class TestConfiguration:
@@ -67,3 +79,28 @@ class TestDynamics:
     def test_warm_start(self):
         process = CappedDChoiceProcess(n=64, capacity=2, lam=0.75, d=2, rng=5, initial_pool=40)
         assert process.pool_size == 40
+
+
+class TestCheckpoint:
+    def test_stream_name_and_checkpoint_keys(self):
+        seeded = CappedDChoiceProcess(n=32, capacity=2, lam=0.75, d=2, rng=1)
+        named = RngFactory(1).generator("capped-dchoice")
+        streamed = CappedDChoiceProcess(n=32, capacity=2, lam=0.75, d=2, rng=named)
+        for _ in range(20):
+            assert summary(seeded.step()) == summary(streamed.step())
+        assert sorted(seeded.get_state()) == ["bins", "pool", "rng", "round"]
+
+    def test_restore_snapshot_taken_at_another_bin_count(self):
+        # Same λn (4 balls a round) at n = 8 and n = 16: after restoring
+        # the n = 8 snapshot, the n = 16 process must *be* that process —
+        # adopt its bin count and replay its future exactly.
+        source = CappedDChoiceProcess(n=8, capacity=2, lam=0.5, d=2, rng=3)
+        for _ in range(10):
+            source.step()
+        snapshot = source.get_state()
+        expected = [source.step() for _ in range(30)]
+
+        target = CappedDChoiceProcess(n=16, capacity=2, lam=0.25, d=2, rng=4)
+        target.set_state(snapshot)
+        assert target.n == target.bins.n == 8
+        assert [summary(target.step()) for _ in expected] == [summary(r) for r in expected]
