@@ -18,9 +18,9 @@ core-count independent and gate like the kernel ratios. Which ratios
 apply is driven by what the *baseline* contains, so one script serves
 both artifact shapes.
 
-Absolute rounds/sec and tasks/sec numbers, the ``scaling`` rows, and the
-``compute`` sweep modes (all of which depend on the runner's core count)
-are reported for context but never gated.
+Absolute rounds/sec and tasks/sec numbers and the ``compute`` sweep
+modes (all of which depend on the runner's core count) are reported for
+context but never gated.
 
 A cell fails when ``current < THRESHOLD * baseline`` (default 0.85x,
 override with ``--threshold``). Refresh the baseline by copying a

@@ -2,10 +2,10 @@
 
 Two measurements, both over the CAPPED(c, λ) grid the paper sweeps:
 
-* **End-to-end rounds/sec** for the fused kernel, the legacy per-bucket
-  reference, and the batched-replicate engine, from a mean-field warm
-  start (so the pool is at its stationary size and the timing reflects
-  the regime the figures actually run in).
+* **End-to-end rounds/sec** for the fused kernel and the legacy
+  per-bucket reference, from a mean-field warm start (so the pool is at
+  its stationary size and the timing reflects the regime the figures
+  actually run in).
 * **Kernel-phase speedup** at the flagship cell (n = 2¹⁵, λ = 0.99,
   c = 1): the acceptance-resolution phase alone — both kernels replay
   the *same* injected choices on the *same* captured equilibrium state,
@@ -27,13 +27,8 @@ import time
 import numpy as np
 import pytest
 
-import os
-
 from repro.core.capped import CappedProcess
 from repro.core.meanfield import equilibrium
-from repro.kernels import BatchedCappedProcess
-from repro.kernels.sharded import ShardedCappedProcess
-from repro.rng import RngFactory
 
 pytestmark = pytest.mark.bench
 
@@ -71,35 +66,22 @@ def _rounds_per_sec(step, rounds: int) -> float:
     ("n", "c", "lam"), GRID, ids=[f"n={n}-c={c}-lam={lam}" for n, c, lam in GRID]
 )
 def test_engine_rounds_per_sec(benchmark, bench_json, profile_name, n, c, lam):
-    """Fused vs legacy vs batched throughput at one grid cell."""
+    """Fused vs legacy throughput at one grid cell."""
     quick = profile_name == "quick"
     rounds = (8 if quick else 40) if n >= 2**15 else (30 if quick else 150)
-    replicates = 4
 
     legacy = _warm_process(n, c, lam, "legacy", warm=rounds // 2 + 5)
     fused = _warm_process(n, c, lam, "fused", warm=rounds // 2 + 5)
-    batched = BatchedCappedProcess(
-        n=n,
-        capacity=c,
-        lam=_lam_eff(n, lam),
-        rngs=[RngFactory(0).child(r).generator("capped") for r in range(replicates)],
-        initial_pool=equilibrium(c, _lam_eff(n, lam)).pool_size(n),
-    )
-    for _ in range(rounds // 2 + 5):
-        batched.step()
 
     legacy_rps = _rounds_per_sec(legacy.step, rounds)
     fused_rps = benchmark.pedantic(
         _rounds_per_sec, args=(fused.step, rounds), rounds=1, iterations=1
     )
-    # Batched advances all replicates per step; credit replicate-rounds.
-    batched_rps = replicates * _rounds_per_sec(batched.step, max(2, rounds // 2))
 
     speedup = fused_rps / legacy_rps
     print(
         f"\nn={n} c={c} lam={lam}: legacy {legacy_rps:,.0f} r/s, "
-        f"fused {fused_rps:,.0f} r/s ({speedup:.2f}x), "
-        f"batched {batched_rps:,.0f} replicate-r/s"
+        f"fused {fused_rps:,.0f} r/s ({speedup:.2f}x)"
     )
     bench_json["grid"].append(
         {
@@ -110,7 +92,6 @@ def test_engine_rounds_per_sec(benchmark, bench_json, profile_name, n, c, lam):
             "rounds": rounds,
             "legacy_rounds_per_sec": legacy_rps,
             "fused_rounds_per_sec": fused_rps,
-            "batched_replicate_rounds_per_sec": batched_rps,
             "fused_over_legacy": speedup,
         }
     )
@@ -165,56 +146,6 @@ def test_general_c_speedup_gate(benchmark, bench_json, profile_name):
     # gate sits below that so only a real kernel regression fails CI, not
     # runner contention.
     assert speedup >= (2.0 if quick else 2.3)
-
-
-def test_sharded_scaling(bench_json, profile_name):
-    """Shard-scaling rows at large n: one simulation across worker processes.
-
-    ``shards=1`` is the single-process fused engine; ``shards>=2`` run the
-    shared-memory process backend. Speedup over the 1-shard row requires
-    real cores — the row records ``cpus`` so the artifact is
-    interpretable on any runner, and the scaling assertion only arms on
-    multicore machines (single-core boxes pay the IPC barriers with
-    nothing to parallelise onto).
-    """
-    n = 2**18 if profile_name == "quick" else 2**20
-    c, lam = 4, 0.95
-    rounds = 4 if profile_name == "quick" else 8
-    warm = 3 if profile_name == "quick" else 6
-    lam_eff = _lam_eff(n, lam)
-    initial_pool = equilibrium(c, lam_eff).pool_size(n)
-    cpus = os.cpu_count() or 1
-
-    rows = []
-    baseline = _warm_process(n, c, lam, "fused", warm=warm)
-    rps = _rounds_per_sec(baseline.step, rounds)
-    rows.append({"shards": 1, "rounds_per_sec": rps, "backend": "fused"})
-    for shards in (2, 4):
-        with ShardedCappedProcess(
-            n=n,
-            capacity=c,
-            lam=lam_eff,
-            seed=0,
-            shards=shards,
-            backend="process",
-            initial_pool=initial_pool,
-        ) as engine:
-            for _ in range(warm):
-                engine.step()
-            rps = _rounds_per_sec(engine.step, rounds)
-        rows.append({"shards": shards, "rounds_per_sec": rps, "backend": "process"})
-
-    print(f"\nshard scaling (n={n}, c={c}, lam={lam}, cpus={cpus}):")
-    for row in rows:
-        print(f"  shards={row['shards']}: {row['rounds_per_sec']:.2f} rounds/s")
-    bench_json["scaling"] = {"n": n, "c": c, "lam": lam, "cpus": cpus, "rows": rows}
-
-    by_shards = {row["shards"]: row["rounds_per_sec"] for row in rows}
-    # Sanity on any machine: the worker barriers must not eat the round.
-    assert by_shards[2] > 0.2 * by_shards[1]
-    if cpus >= 2:
-        # Real cores available: sharding must beat the single process.
-        assert by_shards[max(s for s in by_shards if s <= cpus)] > by_shards[1]
 
 
 def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):

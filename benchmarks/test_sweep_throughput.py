@@ -18,10 +18,9 @@ Two sections, separating the two ways a distributed sweep can be fast:
   ``run_experiment``, the local ``--jobs`` pool, and ``repro worker``
   subprocess fleets behind a broker. These tasks are core-bound, so the
   absolute tasks/sec and the broker-vs-serial ratio depend on the
-  runner's core count (recorded as ``cpus``) and are informational, like
-  the shard-``scaling`` rows in BENCH_engine.json. What *is* asserted is
-  the correctness half of the acceptance bar: every mode's merged CSV is
-  byte-identical to the serial run.
+  runner's core count (recorded as ``cpus``) and are informational.
+  What *is* asserted is the correctness half of the acceptance bar: every
+  mode's merged CSV is byte-identical to the serial run.
 
 Run with ``--bench-json BENCH_sweep.json`` to write the artifact; the CI
 bench job gates it against ``benchmarks/baseline_sweep.json`` via

@@ -31,8 +31,7 @@ from repro.core.capped import CappedProcess
 from repro.core.meanfield import equilibrium
 from repro.engine.driver import SimulationDriver, SimulationResult
 from repro.engine.stability import default_burn_in
-from repro.errors import ConfigurationError, ParallelExecutionError
-from repro.kernels.batched import BatchedCappedProcess
+from repro.errors import ParallelExecutionError
 from repro.parallel.context import active_context
 from repro.processes.greedy import GreedyBatchProcess
 from repro.rng import RngFactory
@@ -45,7 +44,6 @@ __all__ = [
     "measure_greedy",
     "run_replicate",
     "run_capped_replicate",
-    "run_capped_replicates_batched",
     "run_greedy_replicate",
     "aggregate_point",
     "assemble_point",
@@ -188,7 +186,6 @@ def run_capped_replicate(
     burn_in: int,
     checkpoint_dir=None,
     checkpoint_every: int | None = None,
-    shards: int = 1,
     scenario: dict[str, Any] | None = None,
 ) -> ReplicateOutcome:
     """Run one CAPPED replicate (independently of every other replicate).
@@ -200,19 +197,11 @@ def run_capped_replicate(
     bit-identical) and is deliberately *not* part of the measurement
     parameters the parallel runner hashes.
 
-    ``shards > 1`` simulates the replicate on a
-    :class:`~repro.kernels.sharded.ShardedCappedProcess` with persistent
-    worker processes — one simulation spread over the machine's cores.
-    Shard ``s`` then draws from ``factory.child(replicate).child(s)``, so
-    the trajectory is a different (equally valid) sample of the same
-    process than the unsharded stream; ``shards`` is therefore part of
-    the measurement parameters, unlike checkpoint placement.
-
     ``scenario`` is a chaos-scenario dict (see
     :func:`repro.churn.scenario_from_dict`); its observers — churn,
     faults, autoscaling — are built fresh for every replicate, so each
-    replicate perturbs its own process. Like ``shards``, a scenario
-    changes outcomes and is part of the measurement parameters.
+    replicate perturbs its own process. A scenario changes outcomes and
+    is part of the measurement parameters.
     """
     factory = RngFactory(seed=seed)
     effective_warm = warm_start and c is not None and lam > 0
@@ -221,11 +210,6 @@ def run_capped_replicate(
     if scenario:
         from repro.churn import scenario_from_dict
 
-        if shards > 1:
-            raise ConfigurationError(
-                "chaos scenarios are not supported on the sharded engine; "
-                "membership changes would invalidate the shard partition"
-            )
         observers = scenario_from_dict(scenario).build_observers()
     driver = SimulationDriver(
         burn_in=burn_in,
@@ -234,21 +218,6 @@ def run_capped_replicate(
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
     )
-    if shards > 1:
-        if c is None:
-            raise ConfigurationError("shards > 1 requires a finite capacity c")
-        from repro.kernels.sharded import ShardedCappedProcess
-
-        with ShardedCappedProcess(
-            n=n,
-            capacity=c,
-            lam=lam,
-            seed=factory.child(replicate),
-            shards=shards,
-            backend="process",
-            initial_pool=initial_pool,
-        ) as process:
-            return ReplicateOutcome.from_result(driver.run(process))
     process = CappedProcess(
         n=n,
         capacity=c,
@@ -257,46 +226,6 @@ def run_capped_replicate(
         initial_pool=initial_pool,
     )
     return ReplicateOutcome.from_result(driver.run(process))
-
-
-def run_capped_replicates_batched(
-    n: int,
-    c: int | None,
-    lam: float,
-    measure: int,
-    seed: int,
-    replicates: int,
-    warm_start: bool,
-    burn_in: int,
-    checkpoint_dir=None,
-    checkpoint_every: int | None = None,
-) -> list[ReplicateOutcome]:
-    """Run all CAPPED replicates of one point in a single batched engine.
-
-    Replicate ``r`` consumes the same derived stream
-    ``RngFactory(seed).child(r)`` as :func:`run_capped_replicate`, and the
-    batched engine reproduces each replicate's trajectory bit-identically
-    (see :mod:`repro.kernels.batched`), so the returned outcomes equal the
-    serial per-replicate loop's — just computed with one kernel invocation
-    per round instead of one per replicate.
-    """
-    factory = RngFactory(seed=seed)
-    effective_warm = warm_start and c is not None and lam > 0
-    initial_pool = equilibrium(c, lam).pool_size(n) if effective_warm else 0
-    driver = SimulationDriver(
-        burn_in=burn_in,
-        measure=measure,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-    )
-    process = BatchedCappedProcess(
-        n=n,
-        capacity=c,
-        lam=lam,
-        rngs=[factory.child(r).generator("capped") for r in range(replicates)],
-        initial_pool=initial_pool,
-    )
-    return [ReplicateOutcome.from_result(result) for result in driver.run_batched(process)]
 
 
 def run_greedy_replicate(
@@ -404,10 +333,8 @@ def measure_capped(
     seed: int = 0,
     warm_start: bool = True,
     burn_in: int | None = None,
-    batch_replicates: bool = False,
     checkpoint_dir=None,
     checkpoint_every: int | None = None,
-    shards: int = 1,
     scenario: dict[str, Any] | None = None,
 ) -> PointResult:
     """Measure CAPPED(c, λ) at one parameter point.
@@ -418,56 +345,24 @@ def measure_capped(
     for λ close to 1). Infinite capacity (``c=None``) cannot be
     warm-started through the mean-field solver and always cold-starts.
 
-    ``batch_replicates=True`` runs all replicates in one
-    :class:`~repro.kernels.batched.BatchedCappedProcess` — one kernel
-    invocation per round for the whole point, with outcomes bit-identical
-    to the serial loop (per-replicate streams still derive from
-    ``(seed, replicate)``).
-
     When a :mod:`repro.parallel` measurement context is active the call is
     delegated to it (recorded, or replayed from precomputed outcomes)
-    instead of simulating inline; the context distributes whole replicates,
-    so ``batch_replicates`` applies only to the inline path.
+    instead of simulating inline; the context distributes whole
+    replicates.
 
     With ``checkpoint_dir`` set the inline path snapshots/resumes each
-    replicate (subdirectory ``rep-<r>``; the batched engine uses
-    ``batched``) every ``checkpoint_every`` rounds. Checkpoint settings
-    never alter results and are not part of the measurement parameters.
-
-    ``shards > 1`` runs every replicate on the multicore sharded engine
-    (see :func:`run_capped_replicate`); incompatible with
-    ``batch_replicates``. Because the shard substreams realise a
-    different sample than the unsharded stream, ``shards`` *is* a
-    measurement parameter — it joins the params dict (and hence the
-    parallel runner's task digests) whenever it differs from 1, while
-    ``shards=1`` keeps historical digests unchanged.
+    replicate (subdirectory ``rep-<r>``) every ``checkpoint_every``
+    rounds. Checkpoint settings never alter results and are not part of
+    the measurement parameters.
 
     ``scenario`` — a chaos-scenario dict of fault/churn/autoscaling
     schedules (see :func:`repro.churn.scenario_from_dict`) — perturbs
-    every replicate. It changes outcomes, so like ``shards`` it joins the
-    measurement parameters when set; incompatible with ``shards > 1``
-    (the shard partition cannot follow membership changes) and with
-    ``batch_replicates`` (the batched path takes no observers).
+    every replicate. It changes outcomes, so it joins the measurement
+    parameters when set.
     """
     effective_warm = warm_start and c is not None and lam > 0
     if burn_in is None:
         burn_in = default_burn_in(n, c if c is not None else 1, lam, warm_start=effective_warm)
-    if shards > 1 and batch_replicates:
-        raise ConfigurationError(
-            "shards and batch_replicates both fuse work per round; pick one "
-            "(shards parallelises one simulation, batch_replicates fuses many)"
-        )
-    if scenario:
-        if shards > 1:
-            raise ConfigurationError(
-                "chaos scenarios are not supported on the sharded engine; "
-                "membership changes would invalidate the shard partition"
-            )
-        if batch_replicates:
-            raise ConfigurationError(
-                "chaos scenarios need per-replicate observers; the batched "
-                "path takes none — drop batch_replicates"
-            )
     params = {
         "n": n,
         "c": c,
@@ -477,38 +372,22 @@ def measure_capped(
         "warm_start": warm_start,
         "burn_in": burn_in,
     }
-    if shards != 1:
-        params["shards"] = shards
     if scenario:
         params["scenario"] = scenario
     context = active_context()
     if context is not None:
         return context.measure("capped", params, replicates)
     base = None if checkpoint_dir is None else Path(checkpoint_dir)
-    if batch_replicates:
-        outcomes = run_capped_replicates_batched(
-            n=n,
-            c=c,
-            lam=lam,
-            measure=measure,
-            seed=seed,
-            replicates=replicates,
-            warm_start=warm_start,
-            burn_in=burn_in,
-            checkpoint_dir=None if base is None else base / "batched",
+    outcomes = [
+        run_replicate(
+            "capped",
+            params,
+            replicate,
+            checkpoint_dir=None if base is None else base / f"rep-{replicate}",
             checkpoint_every=checkpoint_every,
         )
-    else:
-        outcomes = [
-            run_replicate(
-                "capped",
-                params,
-                replicate,
-                checkpoint_dir=None if base is None else base / f"rep-{replicate}",
-                checkpoint_every=checkpoint_every,
-            )
-            for replicate in range(replicates)
-        ]
+        for replicate in range(replicates)
+    ]
     return aggregate_point(n, c, lam, burn_in, measure, outcomes)
 
 

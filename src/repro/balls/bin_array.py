@@ -306,7 +306,7 @@ class BinArray:
         self._total_load -= deleted
         return deleted
 
-    def serial_round_limit(self, allow_unit_capacity: bool = False, freeze_down: bool = False):
+    def serial_round_limit(self):
         """Eligibility + parameters for the whole-round serial kernel.
 
         Returns ``(capacity_limit, hist_size)`` when this array can be
@@ -317,59 +317,33 @@ class BinArray:
         ``capacity_limit`` is the per-bin load ceiling ``max(capacity,
         load)``: a plain int for the common shared-capacity case (so the
         kernel clips against a scalar), an array only after a capacity
-        degradation may have left bins over their cap, while bins are
+        degradation may have left bins over their cap, or while bins are
         draining (their ceiling is clamped to the current load, so they
-        accept nothing but still serve), or with ``freeze_down``.
-
-        ``allow_unit_capacity=True`` keeps shared ``c = 1`` eligible: the
-        sharded engine partitions the serial kernel across bin ranges and
-        has no unit-take alternative, whereas the single-process caller
-        prefers the leaner unit-take path there.
-
-        ``freeze_down=True`` (sharded engine) keeps down bins eligible by
-        clamping their ceiling to the current load — they accept nothing.
-        The serial kernel still performs the FIFO deletion on every
-        non-empty bin, so the *caller* must undo the deletion on down
-        bins afterwards (they are frozen, not draining); see
-        :meth:`repro.kernels.sharded.ShardedCappedProcess.step`.
+        accept nothing but still serve).
         """
-        if self.capacity is None:
+        if self.capacity is None or self._any_down:
             return None
-        if self._any_down and not freeze_down:
-            return None
-        if not (self._any_draining or self._any_down):
-            if np.isscalar(self.capacity):
-                if self.capacity == 1 and not allow_unit_capacity:
-                    return None
-                if self._maybe_overcap and self._peak_load > self.capacity:
-                    limit = np.maximum(self.capacity, self.loads)
-                    return limit, self._peak_load + 1
-                return int(self.capacity), int(self.capacity) + 1
-            if self._maybe_overcap:
-                limit = np.maximum(self.capacity, self.loads)
-                return limit, max(int(self.capacity.max()), self._peak_load) + 1
-            return self.capacity, int(self.capacity.max()) + 1
-        # Draining and/or frozen-down bins: per-bin ceilings with the
-        # affected bins clamped to their current load (accept nothing).
         if np.isscalar(self.capacity):
-            if self.capacity == 1 and not allow_unit_capacity:
+            if self.capacity == 1:
                 return None
             if self._maybe_overcap and self._peak_load > self.capacity:
                 limit = np.maximum(self.capacity, self.loads)
                 hist_size = self._peak_load + 1
+            elif not self._any_draining:
+                return int(self.capacity), int(self.capacity) + 1
             else:
                 limit = np.full(self.n, self.capacity, dtype=np.int64)
                 hist_size = int(self.capacity) + 1
         elif self._maybe_overcap:
             limit = np.maximum(self.capacity, self.loads)
             hist_size = max(int(self.capacity.max()), self._peak_load) + 1
+        elif not self._any_draining:
+            return self.capacity, int(self.capacity.max()) + 1
         else:
             limit = self.capacity.copy()
             hist_size = int(self.capacity.max()) + 1
         if self._any_draining:
             limit[self.draining] = self.loads[self.draining]
-        if self._any_down:
-            limit[self.down] = self.loads[self.down]
         return limit, hist_size
 
     def commit_round(self, resolved) -> None:
@@ -389,18 +363,6 @@ class BinArray:
         self._total_load += resolved.accepted_total - resolved.deleted
         if resolved.peak_load > self._peak_load:
             self._peak_load = resolved.peak_load
-
-    @property
-    def hist_carry_intact(self) -> bool:
-        """True while no mutation outside :meth:`commit_round` touched the
-        loads since the last committed round.
-
-        External consumers that keep their own histogram bookkeeping
-        derived from the loads (the sharded engine's per-shard carries)
-        use this to detect that a fault wipe, capacity change, or
-        membership event intervened and their carry must be rebuilt.
-        """
-        return self._hist_cache is not None
 
     def cached_load_hist(self, hist_size: int):
         """Load histogram carried over from the previous serial round.

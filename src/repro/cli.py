@@ -61,20 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--cold-start", action="store_true", help="start from an empty system")
     sim.add_argument(
-        "--batch-replicates",
-        action="store_true",
-        help="run all replicates in one batched kernel (capped only; "
-        "bit-identical outcomes, one kernel pass per round)",
-    )
-    sim.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition each simulation's bins across this many worker "
-        "processes (capped with finite --c only; one simulation uses "
-        "the whole machine)",
-    )
-    sim.add_argument(
         "--process",
         choices=("capped", "greedy"),
         default="capped",
@@ -87,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chaos scenario: a JSON file path or inline JSON with "
         "'faults', 'churn', and/or 'autoscaling' schedules "
-        "(capped only; incompatible with --shards/--batch-replicates)",
+        "(capped only)",
     )
     sim.add_argument(
         "--telemetry-dir",
@@ -515,31 +501,18 @@ def _cmd_list(out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    if args.process == "greedy" and args.batch_replicates:
-        out.write("error: --batch-replicates only applies to --process capped\n")
+    if args.process == "capped" and args.d != 1:
+        out.write("error: --d only applies to --process greedy (CAPPED throws to one bin)\n")
         return 2
-    if args.shards < 1:
-        out.write("error: --shards must be at least 1\n")
+    if args.process == "greedy" and args.c is not None:
+        out.write("error: --c only applies to --process capped (GREEDY bins are unbounded)\n")
         return 2
-    if args.shards > 1:
-        if args.process != "capped" or args.c is None:
-            out.write("error: --shards needs --process capped with a finite --c\n")
-            return 2
-        if args.batch_replicates:
-            out.write("error: --shards and --batch-replicates are mutually exclusive\n")
-            return 2
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         out.write("error: --checkpoint-every needs --checkpoint-dir\n")
         return 2
     if args.scenario is not None:
         if args.process != "capped":
             out.write("error: --scenario only applies to --process capped\n")
-            return 2
-        if args.shards > 1:
-            out.write("error: --scenario and --shards are mutually exclusive\n")
-            return 2
-        if args.batch_replicates:
-            out.write("error: --scenario and --batch-replicates are mutually exclusive\n")
             return 2
         try:
             # Parse and validate eagerly so a typo'd scenario is a clean
@@ -613,10 +586,8 @@ def _measure_simulate(args, out) -> int:
             seed=args.seed,
             warm_start=not args.cold_start,
             burn_in=args.burn_in,
-            batch_replicates=args.batch_replicates,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            shards=args.shards,
             scenario=None if args.scenario is None else _load_scenario(args.scenario),
         )
     for key, value in point.row().items():

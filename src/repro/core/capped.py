@@ -409,8 +409,6 @@ class CappedProcess:
             acc_choices,
             acc_counts,
             acc_ages,
-            sort_runs=False,
-            need_runs=False,
         )
         if resolved.accepted_total:
             accepted_per_bucket = resolved.accepted_per_bucket
@@ -418,9 +416,7 @@ class CappedProcess:
                 accepted_per_bucket = accepted_per_bucket[::-1]
             self.bins.commit_accepted(resolved.accepted_per_key, resolved.accepted_total)
             self.pool.remove_bulk(accepted_per_bucket)
-        if resolved.wait_hist is not None:
-            return resolved.accepted_total, *resolved.wait_hist, None, None
-        return resolved.accepted_total, *_wait_histogram(resolved.waits), None, None
+        return resolved.accepted_total, *resolved.wait_hist, None, None
 
     def _resolve_legacy(
         self,

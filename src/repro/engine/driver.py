@@ -103,8 +103,8 @@ class SimulationDriver:
     observers:
         Optional callbacks notified after *every* round, including burn-in.
     checkpoint_dir:
-        Directory of durable snapshots for this run. ``run``/``run_batched``
-        restore from the newest valid snapshot found there before stepping.
+        Directory of durable snapshots for this run. ``run`` restores
+        from the newest valid snapshot found there before stepping.
     checkpoint_every:
         Snapshot cadence in rounds (requires ``checkpoint_dir``); with
         ``checkpoint_dir`` but no cadence the driver only restores (and
@@ -142,7 +142,7 @@ class SimulationDriver:
             self._store = CheckpointStore(checkpoint_dir, keep=checkpoint_keep)
         else:
             self._store = None
-        #: Provenance of the last ``run``/``run_batched``: the
+        #: Provenance of the last ``run``: the
         #: :class:`~repro.checkpoint.RestoredCheckpoint` it resumed from,
         #: or None for a from-scratch run.
         self.last_restore = None
@@ -188,18 +188,14 @@ class SimulationDriver:
         process: Any,
         done_burn: int,
         done_measure: int,
-        *,
-        batched: bool,
         collector: MetricsCollector | None = None,
-        collectors: list[MetricsCollector] | None = None,
     ) -> dict:
-        payload: dict = {
+        return {
             "driver": {
                 "burn_in": self.burn_in,
                 "measure": self.measure,
                 "done_burn": done_burn,
                 "done_measure": done_measure,
-                "batched": batched,
             },
             "process": {
                 "class": process.__class__.__name__,
@@ -210,16 +206,10 @@ class SimulationDriver:
                 "state": process.get_state(),
             },
             "observers": self._observer_states(),
+            "collector": None if collector is None else collector.get_state(),
         }
-        if batched:
-            payload["collectors"] = (
-                None if collectors is None else [c.get_state() for c in collectors]
-            )
-        else:
-            payload["collector"] = None if collector is None else collector.get_state()
-        return payload
 
-    def _check_restorable(self, payload: dict, process: Any, *, batched: bool) -> None:
+    def _check_restorable(self, payload: dict, process: Any) -> None:
         """Reject snapshots that do not describe *this* driver+process."""
         driver = payload.get("driver", {})
         proc = payload.get("process", {})
@@ -228,8 +218,6 @@ class SimulationDriver:
             problems.append(f"burn_in {driver.get('burn_in')} != {self.burn_in}")
         if driver.get("measure") != self.measure:
             problems.append(f"measure {driver.get('measure')} != {self.measure}")
-        if bool(driver.get("batched")) != batched:
-            problems.append(f"batched {driver.get('batched')} != {batched}")
         if proc.get("class") != process.__class__.__name__:
             problems.append(
                 f"process class {proc.get('class')!r} != " f"{process.__class__.__name__!r}"
@@ -253,14 +241,14 @@ class SimulationDriver:
                 "checkpoint does not match this run: " + "; ".join(problems)
             )
 
-    def _restore(self, process: Any, *, batched: bool):
+    def _restore(self, process: Any):
         """Load the newest valid snapshot, apply it, return its payload."""
         restored = self._store.load_latest()
         if restored is None:
             self.last_restore = None
             return None
         payload = restored.payload
-        self._check_restorable(payload, process, batched=batched)
+        self._check_restorable(payload, process)
         process.set_state(payload["process"]["state"])
         for observer, saved in zip(self.observers, payload["observers"]):
             if saved is not None:
@@ -303,7 +291,7 @@ class SimulationDriver:
         last_round = 0
         self.last_restore = None
         if self._store is not None:
-            payload = self._restore(process, batched=False)
+            payload = self._restore(process)
             if payload is not None:
                 if payload["collector"] is not None:
                     collector.set_state(payload["collector"])
@@ -315,7 +303,7 @@ class SimulationDriver:
                 # kill before the first cadence point is still resumable.
                 self._save(
                     0,
-                    self._snapshot_payload(process, 0, 0, batched=False),
+                    self._snapshot_payload(process, 0, 0),
                     "burn_in",
                 )
 
@@ -342,9 +330,7 @@ class SimulationDriver:
                         chaos,
                         label,
                         phase,
-                        lambda: self._snapshot_payload(
-                            process, done_burn, done_measure, batched=False
-                        ),
+                        lambda: self._snapshot_payload(process, done_burn, done_measure),
                     )
             phase = "measure"
             with _span("measure", component="driver"):
@@ -370,7 +356,6 @@ class SimulationDriver:
                             process,
                             done_burn,
                             done_measure,
-                            batched=False,
                             collector=collector,
                         ),
                     )
@@ -382,7 +367,6 @@ class SimulationDriver:
                         process,
                         done_burn,
                         done_measure,
-                        batched=False,
                         collector=collector if done_measure else None,
                     ),
                     phase,
@@ -398,129 +382,3 @@ class SimulationDriver:
             measured=self.measure,
             stationary=stationary,
         )
-
-    def run_batched(self, process: Any) -> list[SimulationResult]:
-        """Execute the phases on a batched process; one result per replicate.
-
-        ``process.step()`` must return a *list* of per-replicate
-        :class:`RoundRecord` objects (see
-        :class:`~repro.kernels.batched.BatchedCappedProcess`). Each
-        replicate gets its own :class:`MetricsCollector`, so the returned
-        results are exactly what ``run`` would have produced on R separate
-        processes sharing the batched engine's streams. Observers are not
-        supported on this path — per-replicate fault injection has no
-        meaning inside a fused replicate block.
-        """
-        if self.observers:
-            raise ConfigurationError(
-                "observers are not supported on the batched path; "
-                "run replicates individually for fault/observer studies"
-            )
-        collectors: list[MetricsCollector] | None = None
-        done_burn = 0
-        done_measure = 0
-        last_round = 0
-        self.last_restore = None
-        if self._store is not None:
-            payload = self._restore(process, batched=True)
-            if payload is not None:
-                if payload["collectors"] is not None:
-                    collectors = []
-                    for saved in payload["collectors"]:
-                        collector = MetricsCollector(n=process.n)
-                        collector.set_state(saved)
-                        collectors.append(collector)
-                done_burn = int(payload["driver"]["done_burn"])
-                done_measure = int(payload["driver"]["done_measure"])
-                last_round = self.last_restore.round
-            else:
-                self._save(
-                    0,
-                    self._snapshot_payload(process, 0, 0, batched=True),
-                    "burn_in",
-                )
-
-        chaos = chaos_from_env()
-        label = type(process).__name__
-        tel = _telemetry_current()
-        theory_pool = self._theory_normalized_pool(process) if tel is not None else None
-        phase = "burn_in"
-        at_boundary = True
-        try:
-            with _span("burn_in", component="driver"):
-                while done_burn < self.burn_in:
-                    at_boundary = False
-                    records = process.step()
-                    done_burn += 1
-                    last_round = records[0].round
-                    at_boundary = True
-                    self._after_round(
-                        records[0],
-                        chaos,
-                        label,
-                        phase,
-                        lambda: self._snapshot_payload(
-                            process, done_burn, done_measure, batched=True
-                        ),
-                    )
-            phase = "measure"
-            with _span("measure", component="driver"):
-                while done_measure < self.measure:
-                    at_boundary = False
-                    records = process.step()
-                    if collectors is None:
-                        collectors = [MetricsCollector(n=process.n) for _ in records]
-                    for collector, record in zip(collectors, records):
-                        collector.observe(record)
-                    done_measure += 1
-                    last_round = records[0].round
-                    at_boundary = True
-                    if tel is not None and theory_pool:
-                        for r, record in enumerate(records):
-                            tel.set_gauge(
-                                "pool_size_over_theory",
-                                record.pool_size / process.n / theory_pool,
-                                replicate=r,
-                            )
-                    self._after_round(
-                        records[0],
-                        chaos,
-                        label,
-                        phase,
-                        lambda: self._snapshot_payload(
-                            process,
-                            done_burn,
-                            done_measure,
-                            batched=True,
-                            collectors=collectors,
-                        ),
-                    )
-        except (KeyboardInterrupt, GracefulShutdown):
-            if self._store is not None and at_boundary:
-                self._save(
-                    last_round,
-                    self._snapshot_payload(
-                        process,
-                        done_burn,
-                        done_measure,
-                        batched=True,
-                        collectors=collectors,
-                    ),
-                    phase,
-                )
-            raise
-
-        results = []
-        for collector in collectors or []:
-            series = collector.pool_series
-            stationary = is_stationary(series) if self._diagnose_stationarity else None
-            results.append(
-                SimulationResult(
-                    summary=collector.summary(),
-                    pool_series=series,
-                    burn_in=self.burn_in,
-                    measured=self.measure,
-                    stationary=stationary,
-                )
-            )
-        return results

@@ -5,26 +5,15 @@
     ``bincount`` into a (key, age-bucket) request matrix plus a cumulative
     clip replaces the legacy per-age-bucket ``bincount`` + ``free_slots``
     + ``accept`` sweep — O(#thrown + n·#ages) element work with no
-    per-ball sorting and no Python loop over buckets.
-
-:mod:`repro.kernels.batched`
-    :class:`~repro.kernels.batched.BatchedCappedProcess` — R independent
-    replicates simulated as one flat ``(R·n,)`` bin array with a single
-    kernel invocation per round, bit-identical per replicate to R separate
-    :class:`~repro.core.capped.CappedProcess` runs.
-
-:mod:`repro.kernels.sharded`
-    :class:`~repro.kernels.sharded.ShardedCappedProcess` — one simulation
-    partitioned by bin range across shards (inline or persistent
-    shared-memory worker processes), with deterministic per-shard RNG
-    substreams so ``kernel="legacy"`` stays the bit-identity oracle.
+    per-ball sorting and no Python loop over buckets — and the
+    whole-round serial kernel that fuses acceptance with the FIFO
+    deletion for finite capacities.
 
 See ``docs/kernels.md`` for the cumulative-clip acceptance argument and
 the RNG stream contract that make the fused paths *exactly* (not just
 distributionally) equivalent to the legacy per-bucket path.
 """
 
-from repro.kernels.batched import BatchedCappedProcess
 from repro.kernels.round import (
     ResolvedRound,
     SerialRound,
@@ -33,13 +22,10 @@ from repro.kernels.round import (
     resolve_capped_round_serial,
     wait_histogram,
 )
-from repro.kernels.sharded import ShardedCappedProcess
 
 __all__ = [
-    "BatchedCappedProcess",
     "ResolvedRound",
     "SerialRound",
-    "ShardedCappedProcess",
     "positional_waits",
     "resolve_capped_round",
     "resolve_capped_round_serial",

@@ -40,20 +40,14 @@ telescope across buckets (bucket ``b``'s end positions are bucket
 ``b+1``'s starts), K+1 bincounts total. Shifting each bucket's
 occupancy by its age and summing gives the wait histogram directly;
 empty runs cancel between adjacent histograms, so nothing is ever
-scanned for non-zeros. Run extraction (``need_runs=True`` callers:
-the batched engine, d-choice) gathers runs from the same cumulative
-rows. A ball at position ``p`` waits ``age_b + p`` rounds (see
-:mod:`repro.balls.bin_array` for the position identity); expanded
-waits use :func:`positional_waits`.
+scanned for non-zeros. A ball at position ``p`` waits ``age_b + p``
+rounds (see :mod:`repro.balls.bin_array` for the position identity);
+the legacy reference expands per-ball waits with
+:func:`positional_waits`.
 
 The kernel never mutates its inputs; callers commit the result through
 ``BinArray.commit_accepted`` and ``AgePool.remove_bulk`` (one call each
 per round).
-
-Keys need not be bin indices: the batched engine passes composite keys
-``replicate·n + bin`` over a flat ``(R·n,)`` bin array, resolving R
-independent replicates in the same pass (buckets of different replicates
-share the label axis; keys of different replicates never collide).
 """
 
 from __future__ import annotations
@@ -110,17 +104,10 @@ def positional_waits(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class ResolvedRound:
     """Outcome of one fused acceptance pass.
 
-    Acceptance is reported per *run* — a maximal group of accepted balls
-    sharing a (key, priority bucket) — because runs are what both commit
-    targets need: per-key totals for the bin array, per-bucket totals for
-    the pool, and the run expansion for waits. Runs are ordered by key
-    ascending (ties by bucket priority), matching the layout of ``waits``.
-
     Array dtypes are an implementation detail: the unit-take path returns
     the narrowest representation that holds the values (boolean per-key
-    counts, int8 buckets, a broadcast view of ones for the lengths), so
-    consume the fields numerically rather than relying on ``int64`` or on
-    writability.
+    counts), so consume the fields numerically rather than relying on
+    ``int64`` or on writability.
 
     Attributes
     ----------
@@ -129,36 +116,18 @@ class ResolvedRound:
     accepted_per_bucket:
         ``(K,)`` — balls accepted from each priority bucket (bucket 0 is
         highest priority), ready for ``AgePool.remove_bulk``.
-    run_keys:
-        Key of each non-empty acceptance run, ascending.
-    run_buckets:
-        Priority bucket of each run, aligned with ``run_keys``.
-    run_lengths:
-        Balls in each run, aligned with ``run_keys``.
-    waits:
-        Waiting time of every accepted ball (``age + queue position``),
-        grouped by run.
     accepted_total:
         Total balls accepted.
     wait_hist:
-        Optional precomputed ``(values, counts)`` wait histogram,
-        equivalent to ``wait_histogram(waits)``. Set whenever the caller
-        passed ``need_runs=False`` and the path can produce the histogram
-        without expanding per-ball arrays: always on the counting path
-        (telescoped position histograms), and on the unit-take path when
-        every load is zero (each accepted ball then waits exactly its
-        bucket's age). ``run_*`` and ``waits`` come back empty in that
-        case. ``None`` means histogram ``waits`` yourself.
+        Sorted ``(values, counts)`` histogram of the accepted balls'
+        waiting times (``age + queue position``), as
+        :func:`wait_histogram` would return for the per-ball waits.
     """
 
     accepted_per_key: np.ndarray
     accepted_per_bucket: np.ndarray
-    run_keys: np.ndarray
-    run_buckets: np.ndarray
-    run_lengths: np.ndarray
-    waits: np.ndarray
     accepted_total: int
-    wait_hist: tuple[np.ndarray, np.ndarray] | None = None
+    wait_hist: tuple[np.ndarray, np.ndarray]
 
 
 def _resolve_unit_take(
@@ -167,7 +136,6 @@ def _resolve_unit_take(
     ball_keys: np.ndarray,
     bucket_counts: np.ndarray,
     bucket_ages: np.ndarray,
-    need_runs: bool = True,
 ) -> ResolvedRound:
     """Fast path for ``free <= 1`` everywhere (always true at c = 1).
 
@@ -189,7 +157,7 @@ def _resolve_unit_take(
     # At homogeneous c = 1 every bin is emptied by the end-of-round
     # deletion, so at round start no bin is full and every load is zero;
     # these checks are cheap single passes that skip the full-bin masking
-    # and the per-run load gather in that (dominant) case. Neither is
+    # and the per-ball wait gather in that (dominant) case. Neither is
     # assumed: heterogeneous, degraded, or down bins take the full
     # branches.
     if int(free.min()) <= 0:
@@ -200,47 +168,25 @@ def _resolve_unit_take(
     accepted_per_bucket = np.bincount(winner, minlength=num_buckets + 1)[:num_buckets]
     accepted_total = int(accepted_per_bucket.sum())
 
-    if not need_runs and not loads.any():
-        # Lean mode for serial consumers, who only ever histogram the
-        # waits: with every load zero each accepted ball waits exactly
-        # its bucket's age, so the histogram *is* the per-bucket totals
-        # and no per-ball array (runs or waits) need exist at all. This
-        # skips three O(#accepted) passes per round.
+    if loads.any():
+        # Each accepted ball sits at queue position ``loads[key]``, so it
+        # waits its bucket's age plus that load.
+        accepted_keys = np.flatnonzero(accepted_mask)
+        waits = bucket_ages[winner[accepted_keys]] + loads[accepted_keys]
+        wait_hist = wait_histogram(waits)
+    else:
+        # With every load zero each accepted ball waits exactly its
+        # bucket's age, so the histogram *is* the per-bucket totals and
+        # no per-ball array need exist at all.
         live = np.flatnonzero(accepted_per_bucket)
         ages_live = bucket_ages[live]
         order = np.argsort(ages_live)
-        return ResolvedRound(
-            accepted_per_key=accepted_mask,
-            accepted_per_bucket=accepted_per_bucket,
-            run_keys=_EMPTY,
-            run_buckets=_EMPTY,
-            run_lengths=_EMPTY,
-            waits=_EMPTY,
-            accepted_total=accepted_total,
-            wait_hist=(ages_live[order], accepted_per_bucket[live][order]),
-        )
-
-    run_keys = np.flatnonzero(accepted_mask)
-    # int64 immediately: every later use (age gather, bucket bincount)
-    # indexes with these, and fancy indexing converts narrow index arrays
-    # to intp internally — one explicit widening beats two hidden ones.
-    run_buckets = winner[run_keys].astype(np.int64)
-    # Runs all have length 1, so each wait is just its run's start. The
-    # other run arrays stay narrow (bool per-key counts, a broadcast
-    # length-1 view for the lengths) — every consumer uses them
-    # numerically, and the avoided widening copies are a measurable slice
-    # of the per-round budget at n = 2^15.
-    waits = bucket_ages[run_buckets]
-    if loads.any():
-        waits = waits + loads[run_keys]
+        wait_hist = (ages_live[order], accepted_per_bucket[live][order])
     return ResolvedRound(
         accepted_per_key=accepted_mask,
         accepted_per_bucket=accepted_per_bucket,
-        run_keys=run_keys,
-        run_buckets=run_buckets,
-        run_lengths=np.broadcast_to(np.int64(1), (run_keys.size,)),
-        waits=waits,
         accepted_total=accepted_total,
+        wait_hist=wait_hist,
     )
 
 
@@ -250,8 +196,6 @@ def _resolve_counting(
     ball_keys: np.ndarray,
     bucket_counts: np.ndarray,
     bucket_ages: np.ndarray,
-    sort_runs: bool,
-    need_runs: bool,
 ) -> ResolvedRound:
     """General path: counting sort over (bucket, key) plus a running clip.
 
@@ -265,16 +209,16 @@ def _resolve_counting(
     acceptance through bucket ``b`` — the last row *is* the per-key
     acceptance, no budget bookkeeping required.
 
-    With ``need_runs=False`` (the serial simulators) the wait histogram
-    comes from telescoped position histograms: bucket ``b``'s accepted
-    balls at key ``k`` sit at queue positions ``[loads_k + cum_{b-1,k},
-    loads_k + cum_{b,k})``, so ``H_b = bincount(loads + cum_b)`` gives
-    bucket ``b``'s end positions *and* bucket ``b+1``'s start positions.
-    ``cumsum(H_{b-1} − H_b)`` is then bucket ``b``'s per-position
-    occupancy (keys with no acceptance in ``b`` contribute equally to
-    both histograms and cancel), and shifting by ``age_b`` accumulates
-    straight into the wait histogram — no per-ball array, no non-zero
-    scan, and every heavy pass is a contiguous O(num_keys) operation.
+    The wait histogram comes from telescoped position histograms: bucket
+    ``b``'s accepted balls at key ``k`` sit at queue positions
+    ``[loads_k + cum_{b-1,k}, loads_k + cum_{b,k})``, so ``H_b =
+    bincount(loads + cum_b)`` gives bucket ``b``'s end positions *and*
+    bucket ``b+1``'s start positions. ``cumsum(H_{b-1} − H_b)`` is then
+    bucket ``b``'s per-position occupancy (keys with no acceptance in
+    ``b`` contribute equally to both histograms and cancel), and shifting
+    by ``age_b`` accumulates straight into the wait histogram — no
+    per-ball array, no non-zero scan, and every heavy pass is a
+    contiguous O(num_keys) operation.
     """
     num_keys = free.size
     num_buckets = bucket_counts.size
@@ -289,99 +233,36 @@ def _resolve_counting(
     for b in range(1, num_buckets):
         np.add(cum[b], cum[b - 1], out=cum[b])
         np.minimum(cum[b], free, out=cum[b])
-    accepted_per_key = cum[num_buckets - 1]
 
-    if not need_runs:
-        # Telescoped position histograms: hists[b] counts the start
-        # positions of bucket b and the end positions of bucket b−1.
-        pos = np.empty(num_keys, dtype=np.int64)
-        hists = [np.bincount(loads)]
-        for b in range(num_buckets):
-            np.add(cum[b], loads, out=pos)
-            hists.append(np.bincount(pos))
-        width = max(h.size for h in hists)
-        wait_hist = np.zeros(int(bucket_ages.max()) + width, dtype=np.int64)
-        accepted_per_bucket = np.empty(num_buckets, dtype=np.int64)
-        accepted_total = 0
-        for b in range(num_buckets):
-            h_start, h_end = hists[b], hists[b + 1]
-            occupancy = np.zeros(max(h_start.size, h_end.size), dtype=np.int64)
-            occupancy[: h_start.size] += h_start
-            occupancy[: h_end.size] -= h_end
-            np.cumsum(occupancy, out=occupancy)
-            taken = int(occupancy.sum())
-            accepted_per_bucket[b] = taken
-            accepted_total += taken
-            if taken:
-                age = int(bucket_ages[b])
-                wait_hist[age : age + occupancy.size] += occupancy
-        values = np.flatnonzero(wait_hist)
-        return ResolvedRound(
-            accepted_per_key=accepted_per_key,
-            accepted_per_bucket=accepted_per_bucket,
-            run_keys=_EMPTY,
-            run_buckets=_EMPTY,
-            run_lengths=_EMPTY,
-            waits=_EMPTY,
-            accepted_total=accepted_total,
-            wait_hist=(values, wait_hist[values]),
-        )
-
-    key_parts: list[np.ndarray] = []
-    bucket_parts: list[int] = []
-    length_parts: list[np.ndarray] = []
-    start_parts: list[np.ndarray] = []
-    accepted_per_bucket = np.zeros(num_buckets, dtype=np.int64)
+    # Telescoped position histograms: hists[b] counts the start positions
+    # of bucket b and the end positions of bucket b−1.
+    pos = np.empty(num_keys, dtype=np.int64)
+    hists = [np.bincount(loads)]
     for b in range(num_buckets):
-        take = cum[b] if b == 0 else cum[b] - cum[b - 1]
-        keys_taken = np.flatnonzero(take)
-        if keys_taken.size == 0:
-            continue
-        lengths = take[keys_taken]
-        prior = loads[keys_taken]
-        if b:
-            prior = prior + cum[b - 1][keys_taken]
-        start_parts.append(bucket_ages[b] + prior)
-        key_parts.append(keys_taken)
-        bucket_parts.append(b)
-        length_parts.append(lengths)
-        accepted_per_bucket[b] = int(lengths.sum())
-
-    if not key_parts:
-        return ResolvedRound(
-            accepted_per_key,
-            accepted_per_bucket,
-            _EMPTY,
-            _EMPTY,
-            _EMPTY,
-            _EMPTY,
-            0,
-        )
-
-    run_keys = np.concatenate(key_parts)
-    run_buckets = np.repeat(
-        np.asarray(bucket_parts, dtype=np.int64),
-        np.asarray([part.size for part in key_parts], dtype=np.int64),
-    )
-    run_lengths = np.concatenate(length_parts)
-    starts = np.concatenate(start_parts)
-    if sort_runs and len(key_parts) > 1:
-        # Each bucket's runs are already key-ascending; a stable sort over
-        # the (few) runs merges them into key-major order for callers that
-        # asked for it.
-        order = np.argsort(run_keys, kind="stable")
-        run_keys = run_keys[order]
-        run_buckets = run_buckets[order]
-        run_lengths = run_lengths[order]
-        starts = starts[order]
+        np.add(cum[b], loads, out=pos)
+        hists.append(np.bincount(pos))
+    width = max(h.size for h in hists)
+    wait_hist = np.zeros(int(bucket_ages.max()) + width, dtype=np.int64)
+    accepted_per_bucket = np.empty(num_buckets, dtype=np.int64)
+    accepted_total = 0
+    for b in range(num_buckets):
+        h_start, h_end = hists[b], hists[b + 1]
+        occupancy = np.zeros(max(h_start.size, h_end.size), dtype=np.int64)
+        occupancy[: h_start.size] += h_start
+        occupancy[: h_end.size] -= h_end
+        np.cumsum(occupancy, out=occupancy)
+        taken = int(occupancy.sum())
+        accepted_per_bucket[b] = taken
+        accepted_total += taken
+        if taken:
+            age = int(bucket_ages[b])
+            wait_hist[age : age + occupancy.size] += occupancy
+    values = np.flatnonzero(wait_hist)
     return ResolvedRound(
-        accepted_per_key=accepted_per_key,
+        accepted_per_key=cum[num_buckets - 1],
         accepted_per_bucket=accepted_per_bucket,
-        run_keys=run_keys,
-        run_buckets=run_buckets,
-        run_lengths=run_lengths,
-        waits=positional_waits(starts, run_lengths),
-        accepted_total=int(accepted_per_bucket.sum()),
+        accepted_total=accepted_total,
+        wait_hist=(values, wait_hist[values]),
     )
 
 
@@ -391,8 +272,6 @@ def resolve_capped_round(
     ball_keys: np.ndarray,
     bucket_counts: np.ndarray,
     bucket_ages: np.ndarray,
-    sort_runs: bool = True,
-    need_runs: bool = True,
 ) -> ResolvedRound:
     """Resolve capped acceptance for all thrown balls in one pass.
 
@@ -403,40 +282,25 @@ def resolve_capped_round(
     loads:
         Per-key loads at the start of the round; not mutated.
     ball_keys:
-        One key per thrown ball (bin index, or composite
-        ``replicate·n + bin`` for the batched engine), laid out in
-        priority-major order: the ``bucket_counts[0]`` balls of the
-        highest-priority bucket first, then bucket 1, and so on. Ball
-        order *within* a bucket never matters (exchangeability).
+        One bin index per thrown ball, laid out in priority-major order:
+        the ``bucket_counts[0]`` balls of the highest-priority bucket
+        first, then bucket 1, and so on. Ball order *within* a bucket
+        never matters (exchangeability).
     bucket_counts:
         ``(K,)`` — balls per priority bucket. Bucket 0 is accepted first:
         oldest-first callers pass age buckets oldest-first, the
         youngest-first ablation passes them reversed.
     bucket_ages:
         ``(K,)`` — age ``t − label`` of each priority bucket's balls.
-    sort_runs:
-        When True (default), runs (and the aligned waits) are returned in
-        key-ascending order — required by the batched engine's
-        per-replicate splitting. Callers that only histogram the waits
-        (the serial processes) pass False and skip the merge sort; run
-        order is then bucket-major.
-    need_runs:
-        When False, the caller promises not to read the ``run_*`` or
-        ``waits`` fields *if* ``wait_hist`` comes back set — which lets
-        both paths skip materialising per-ball arrays (see
-        :class:`ResolvedRound.wait_hist`): the counting path always
-        returns the histogram directly from its telescoped position
-        histograms, and the unit-take path does when every load is zero
-        (the dominant c = 1 case; that shortcut additionally requires
-        distinct ``bucket_ages``, true by construction for age buckets).
-        With ``wait_hist=None`` the result is fully populated regardless,
-        so consumers branch on the field, not on the flag they passed.
+        Must be distinct (true by construction for age buckets): the
+        zero-load unit-take path reads the histogram straight off the
+        per-bucket totals.
 
     Returns
     -------
     ResolvedRound
-        Acceptance counts and waiting times. Loads and pool state are
-        *not* updated — callers commit via ``BinArray.commit_accepted``
+        Acceptance counts and the wait histogram. Loads and pool state
+        are *not* updated — callers commit via ``BinArray.commit_accepted``
         and ``AgePool.remove_bulk``.
     """
     num_buckets = bucket_counts.size
@@ -444,33 +308,22 @@ def resolve_capped_round(
         return ResolvedRound(
             np.zeros(free.size, dtype=np.int64),
             np.zeros(num_buckets, dtype=np.int64),
-            _EMPTY,
-            _EMPTY,
-            _EMPTY,
-            _EMPTY,
             0,
+            (_EMPTY, _EMPTY),
         )
     # Dispatch: unit-take covers c = 1 exactly and saturated heterogeneous
     # rounds opportunistically; the sentinel for unbounded bins (2**62)
     # keeps those on the general path.
     unit_take = int(free.max()) <= 1
+    resolve = _resolve_unit_take if unit_take else _resolve_counting
     # Telemetry (path counts + resolve timing) is read-only and costs one
     # global read when disabled; it lands in a *separate* metric from the
     # phase laps so attribution never double-counts the accept phase.
     tel = _telemetry_current()
     if tel is None:
-        if unit_take:
-            return _resolve_unit_take(free, loads, ball_keys, bucket_counts, bucket_ages, need_runs)
-        return _resolve_counting(
-            free, loads, ball_keys, bucket_counts, bucket_ages, sort_runs, need_runs
-        )
+        return resolve(free, loads, ball_keys, bucket_counts, bucket_ages)
     start = time.perf_counter()
-    if unit_take:
-        resolved = _resolve_unit_take(free, loads, ball_keys, bucket_counts, bucket_ages, need_runs)
-    else:
-        resolved = _resolve_counting(
-            free, loads, ball_keys, bucket_counts, bucket_ages, sort_runs, need_runs
-        )
+    resolved = resolve(free, loads, ball_keys, bucket_counts, bucket_ages)
     path = "unit_take" if unit_take else "counting"
     tel.inc("kernel_dispatch_total", path=path)
     tel.observe("kernel_resolve_seconds", time.perf_counter() - start, path=path)

@@ -162,17 +162,9 @@ class TestSerialRoundLimit:
         bins.set_down([1])
         assert bins.serial_round_limit() is None
 
-    def test_freeze_down_clamps_down_bins(self):
-        bins = BinArray(4, capacity=3)
-        fill(bins, [0, 2, 0, 0])
-        bins.set_down([1])
-        limit, _ = bins.serial_round_limit(freeze_down=True)
-        assert limit.tolist() == [3, 2, 3, 3]
-
     def test_unit_capacity_gate(self):
         bins = BinArray(4, capacity=1)
         assert bins.serial_round_limit() is None
-        assert bins.serial_round_limit(allow_unit_capacity=True) == (1, 2)
 
     def test_unbounded_never_eligible(self):
         assert BinArray(4, capacity=None).serial_round_limit() is None

@@ -6,7 +6,6 @@ final :class:`SimulationResult` — and the RoundRecord stream feeding it —
 is bit-identical to an uninterrupted run.
 """
 
-import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointStore
@@ -16,9 +15,7 @@ from repro.engine.observers import TraceRecorder
 from repro.errors import CheckpointIncompatible, ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import CapacityDegradation, FaultSchedule, StochasticCrashes
-from repro.kernels.batched import BatchedCappedProcess
 from repro.processes.capped_dchoice import CappedDChoiceProcess
-from repro.rng import RngFactory
 
 
 class KillAt:
@@ -192,30 +189,6 @@ class TestFaultScheduleKillResume:
         assert result_key(result) == result_key(reference)
         # The injector's own ledger must line up too, not just the result.
         assert injector.crashes + injector.recoveries > 0
-
-
-class TestBatchedKillResume:
-    def test_bit_identical_per_replicate(self, tmp_path):
-        def make():
-            rngs = [RngFactory(3).child(r).generator("capped") for r in range(3)]
-            return BatchedCappedProcess(n=48, capacity=2, lam=0.75, rngs=rngs)
-
-        reference = SimulationDriver(burn_in=10, measure=20).run_batched(make())
-
-        driver = SimulationDriver(
-            burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4
-        )
-        with pytest.raises(KeyboardInterrupt):
-            driver.run_batched(KillAt(make(), 23))
-
-        resumed = SimulationDriver(
-            burn_in=10, measure=20, checkpoint_dir=tmp_path, checkpoint_every=4
-        )
-        results = resumed.run_batched(make())
-        assert resumed.last_restore is not None
-        assert len(results) == len(reference)
-        for got, want in zip(results, reference):
-            assert result_key(got) == result_key(want)
 
 
 class TestCorruptionFallback:

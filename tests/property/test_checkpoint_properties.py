@@ -9,11 +9,9 @@ the snapshot misses (RNG position, pool ages, counters, capacity).
 """
 
 import hypothesis.strategies as st
-import numpy as np
 from hypothesis import given, settings
 
 from repro.core.capped import CappedProcess
-from repro.kernels import BatchedCappedProcess
 from repro.rng import RngFactory
 
 # n, c, lambda numerator (lam = k/n).
@@ -103,37 +101,3 @@ def test_snapshot_is_an_immutable_value(config, seed, warmup, rounds):
     second.set_state(snapshot)
     future_two = [record_key(second.step()) for _ in range(rounds)]
     assert future_one == future_two
-
-
-@given(configs, seeds, st.integers(min_value=1, max_value=3), plans)
-@settings(max_examples=25, deadline=None)
-def test_batched_snapshot_restore_interleaving_is_invisible(config, seed, replicates, plan):
-    n, c, k = config
-
-    def make(generation):
-        factory = RngFactory(seed + generation)
-        return BatchedCappedProcess(
-            n=n,
-            capacity=c,
-            lam=k / n,
-            rngs=[factory.child(r).generator("capped") for r in range(replicates)],
-        )
-
-    def step_key(process):
-        return [record_key(record) for record in process.step()]
-
-    reference = make(0)
-    total = sum(plan)
-    expected = [step_key(reference) for _ in range(total)]
-
-    current = make(0)
-    observed = []
-    for generation, chunk in enumerate(plan[:-1]):
-        observed.extend(step_key(current) for _ in range(chunk))
-        snapshot = current.get_state()
-        current = make(generation + 1)
-        current.set_state(snapshot)
-        current.check_invariants()
-    observed.extend(step_key(current) for _ in range(plan[-1]))
-
-    assert observed == expected

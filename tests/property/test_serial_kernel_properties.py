@@ -1,13 +1,10 @@
-"""Property-based tests on the whole-round serial kernel and sharding.
+"""Property-based tests on the whole-round serial kernel.
 
-Hypothesis drives the two exact-equivalence contracts over randomly
-drawn small configurations:
-
-* the fused path (which dispatches to the serial whole-round kernel for
-  finite shared capacities) produces ``RoundRecord`` streams bit-identical
-  to ``kernel="legacy"`` on random ``(n, c, λ)`` grids, and
-* the sharded engine's capture-and-replay matches a legacy run fed the
-  identical choice vector, for random shard counts.
+Hypothesis drives the exact-equivalence contract over randomly drawn
+small configurations: the fused path (which dispatches to the serial
+whole-round kernel for finite shared capacities) produces
+``RoundRecord`` streams bit-identical to ``kernel="legacy"`` on random
+``(n, c, λ)`` grids.
 """
 
 import hypothesis.strategies as st
@@ -15,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.capped import CappedProcess
-from repro.kernels.sharded import ShardedCappedProcess
 from repro.rng import RngFactory
 
 # n, c, lambda numerator (lam = k/n). c >= 1 and finite so both the serial
@@ -60,21 +56,3 @@ def test_fused_matches_legacy_on_random_grid(config, seed, rounds):
         assert_same_record(fused.step(), legacy.step(), context=(config, seed))
     assert np.array_equal(fused.bins.loads, legacy.bins.loads)
     fused.check_invariants()
-
-
-@given(configs, seeds, st.integers(min_value=1, max_value=4))
-@settings(max_examples=40, deadline=None)
-def test_sharded_replay_matches_legacy(config, seed, shards):
-    n, c, k = config
-    lam = k / n
-    shards = min(shards, n)
-    sharded = ShardedCappedProcess(
-        n=n, capacity=c, lam=lam, seed=seed, shards=shards, record_choices=True
-    )
-    legacy = CappedProcess(n=n, capacity=c, lam=lam, rng=0, kernel="legacy")
-    for _ in range(25):
-        mine = sharded.step()
-        theirs = legacy.step(choices=sharded.last_choices)
-        assert_same_record(mine, theirs, context=(config, seed, shards))
-    assert np.array_equal(sharded.bins.loads, legacy.bins.loads)
-    sharded.check_invariants()

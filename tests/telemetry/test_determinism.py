@@ -10,7 +10,6 @@ import pytest
 from repro import telemetry
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
-from repro.kernels.batched import BatchedCappedProcess
 from repro.telemetry import JsonlEventSink
 
 
@@ -26,29 +25,12 @@ def run_capped(kernel: str):
     )
 
 
-def run_batched():
-    from repro.rng import RngFactory
-
-    rngs = [RngFactory(seed=7).child(r).generator("capped") for r in range(2)]
-    process = BatchedCappedProcess(n=64, capacity=2, lam=0.75, rngs=rngs)
-    results = SimulationDriver(burn_in=30, measure=60).run_batched(process)
-    return [(r.pool_series.tolist(), r.normalized_pool, r.avg_wait, r.max_wait) for r in results]
-
-
 @pytest.mark.parametrize("kernel", ["fused", "legacy"])
 def test_capped_bit_identical_with_telemetry(kernel, tmp_path):
     baseline = run_capped(kernel)
     with telemetry.session(sinks=[JsonlEventSink(tmp_path / "events.jsonl")]) as tel:
         instrumented = run_capped(kernel)
         assert tel.registry.counter("rounds_total").value(kernel=kernel) == 90.0
-    assert instrumented == baseline
-
-
-def test_batched_bit_identical_with_telemetry():
-    baseline = run_batched()
-    with telemetry.session() as tel:
-        instrumented = run_batched()
-        assert tel.registry.counter("rounds_total").value(kernel="batched") == 90.0
     assert instrumented == baseline
 
 

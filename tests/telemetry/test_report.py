@@ -5,7 +5,6 @@ import pytest
 from repro import telemetry
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
-from repro.kernels.batched import BatchedCappedProcess
 from repro.telemetry import build_manifest, phase_attribution, render_report
 from repro.telemetry.registry import MetricsRegistry
 
@@ -56,18 +55,6 @@ def test_live_run_coverage_meets_bar(kernel):
         rows = phase_attribution(tel.registry.snapshot())
     (row,) = [r for r in rows if r["labels"].get("kernel") == kernel]
     assert row["rounds"] == 120
-    assert row["coverage"] >= 0.95
-
-
-def test_batched_run_coverage_meets_bar():
-    from repro.rng import RngFactory
-
-    rngs = [RngFactory(seed=3).child(r).generator("capped") for r in range(2)]
-    with telemetry.session() as tel:
-        process = BatchedCappedProcess(n=64, capacity=2, lam=0.75, rngs=rngs)
-        SimulationDriver(burn_in=20, measure=40).run_batched(process)
-        rows = phase_attribution(tel.registry.snapshot())
-    (row,) = [r for r in rows if r["labels"].get("kernel") == "batched"]
     assert row["coverage"] >= 0.95
 
 

@@ -80,48 +80,19 @@ class TestSimulate:
         assert code == 0
         assert "avg_wait" in text
 
-    def test_sharded_point(self):
+    def test_d_rejected_for_capped(self):
         code, text = run_cli(
-            "simulate",
-            "--n",
-            "256",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--rounds",
-            "40",
-            "--shards",
-            "2",
-        )
-        assert code == 0
-        assert "pool/n" in text
-
-    def test_shards_require_finite_capacity(self):
-        code, text = run_cli("simulate", "--lam", "0.75", "--shards", "2")
-        assert code == 2
-        assert "finite --c" in text
-
-    def test_shards_exclude_batch_replicates(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "64",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--shards",
-            "2",
-            "--batch-replicates",
+            "simulate", "--n", "256", "--c", "2", "--lam", "0.75", "--rounds", "20", "--d", "3"
         )
         assert code == 2
-        assert "mutually exclusive" in text
+        assert "--d only applies to --process greedy" in text
 
-    def test_shards_reject_greedy(self):
-        code, text = run_cli("simulate", "--process", "greedy", "--lam", "0.75", "--shards", "2")
+    def test_c_rejected_for_greedy(self):
+        code, text = run_cli(
+            "simulate", "--process", "greedy", "--n", "256", "--c", "2", "--lam", "0.75"
+        )
         assert code == 2
-        assert "--process capped" in text
+        assert "--c only applies to --process capped" in text
 
 
 class TestExperiments:
@@ -528,39 +499,6 @@ class TestSimulateScenario:
         )
         assert code == 2
         assert "--process capped" in text
-
-    def test_scenario_excludes_shards(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "64",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--shards",
-            "2",
-            "--scenario",
-            self.SCENARIO,
-        )
-        assert code == 2
-        assert "mutually exclusive" in text
-
-    def test_scenario_excludes_batch_replicates(self):
-        code, text = run_cli(
-            "simulate",
-            "--n",
-            "64",
-            "--c",
-            "2",
-            "--lam",
-            "0.75",
-            "--batch-replicates",
-            "--scenario",
-            self.SCENARIO,
-        )
-        assert code == 2
-        assert "mutually exclusive" in text
 
     def test_bad_scenario_json_is_config_error(self):
         code, text = run_cli(
