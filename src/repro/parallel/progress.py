@@ -93,7 +93,10 @@ class ProgressReporter:
     status line (finished with a newline by :meth:`finish`); on non-TTY
     streams (CI logs, files) each update is a plain newline-terminated
     line. Output is throttled to at most one update per ``min_interval``
-    seconds; :meth:`finish` always shows the last task.
+    seconds, counted from the last line shown: the first task is always
+    shown, whatever the reading of ``time.monotonic()`` (its zero is
+    undefined, on Linux the host's boot). :meth:`finish` always shows the
+    last task.
     """
 
     def __init__(
@@ -111,7 +114,7 @@ class ProgressReporter:
         self.done = 0
         self.computed = 0
         self.computed_seconds = 0.0
-        self._last_print = 0.0
+        self._last_print = float("-inf")  # no line shown yet
         self._line_width = 0
         self._last_task: tuple[str, str, float] | None = None
         self._shown = 0  # ``done`` as of the line on screen

@@ -1,7 +1,9 @@
 """Unit tests for progress reporting, timing stats, and the live dashboard."""
 
 import io
+import types
 
+from repro.parallel import progress
 from repro.parallel.progress import (
     LiveStatusReporter,
     ProgressReporter,
@@ -159,6 +161,20 @@ class TestGrowingTotal:
             last = stream.getvalue().splitlines()[-1]
             assert last.startswith("[3/5] c (computed, 0.50s)")
             assert "eta" not in last
+
+    def test_first_task_shows_whatever_the_clock_reads(self, monkeypatch):
+        # time.monotonic()'s zero is undefined (boot time on Linux): pin it
+        # near zero, as on a freshly booted host, so the throttle cannot
+        # lean on the host's uptime to let the first line through.
+        monkeypatch.setattr(progress, "time", types.SimpleNamespace(monotonic=lambda: 5.0))
+        for cls in (ProgressReporter, LiveStatusReporter):
+            stream = io.StringIO()
+            reporter = cls(total=2, stream=stream, min_interval=3600.0)
+            reporter.task_done("a", 0.5)
+            assert stream.getvalue().count("\n") == 1
+            assert stream.getvalue().startswith("[1/2] a (computed, 0.50s)")
+            reporter.task_done("b", 0.5)
+            assert stream.getvalue().count("\n") == 1  # throttled
 
     def test_finish_does_not_repeat_a_shown_line(self):
         for cls in (ProgressReporter, LiveStatusReporter):
