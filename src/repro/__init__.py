@@ -4,9 +4,9 @@ ICDCS 2021).
 
 The library implements the paper's CAPPED(c, λ) process, the coupled
 analysis process MODCAPPED(c, λ), the theoretical bounds of Theorems 1 and
-2, every baseline from the related work the paper compares against, and an
-experiment harness regenerating the paper's full empirical evaluation
-(Figures 4 and 5 plus the in-text claims).
+2, the GREEDY[d] baseline the paper compares against, and an experiment
+harness regenerating the paper's full empirical evaluation (Figures 4 and
+5 plus the in-text claims).
 
 Quickstart
 ----------

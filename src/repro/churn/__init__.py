@@ -1,6 +1,6 @@
 """Dynamic membership: churn schedules, injection, autoscaling, scenarios.
 
-The churn subsystem lets bins/servers join and leave *mid-run* — the
+The churn subsystem lets bins join and leave *mid-run* — the
 regime studied by the dynamic balls-into-bins line of work — while keeping
 every repro guarantee intact: determinism under a dedicated RNG substream,
 bit-identical checkpoint/resume through membership changes, and zero

@@ -2,12 +2,11 @@
 to a live simulator through the observer pipeline.
 
 Like :class:`~repro.faults.FaultInjector`, the injector implements the
-engine's ``on_round(record, process)`` observer protocol, binds lazily to
-either a ball process (anything exposing ``grow_bins``/``shrink_bins``) or a
-:class:`~repro.cluster.farm.ServerFarm`, and draws every stochastic choice
-(leave victims, Poisson counts) from a dedicated RNG stream
-(``RngFactory(seed).generator("churn")``) so the simulated process's own
-randomness is untouched.
+engine's ``on_round(record, process)`` observer protocol, binds lazily to a
+ball process (anything exposing ``grow_bins``/``shrink_bins``), and draws
+every stochastic choice (leave victims, Poisson counts) from a dedicated RNG
+stream (``RngFactory(seed).generator("churn")``) so the simulated process's
+own randomness is untouched.
 
 Index remapping
 ---------------
@@ -99,63 +98,14 @@ class _BallChurnAdapter:
         self.process.bins.set_capacity(value)
 
 
-class _FarmChurnAdapter:
-    """Resizes a :class:`~repro.cluster.farm.ServerFarm`."""
-
-    def __init__(self, process: Any) -> None:
-        self.farm = process
-
-    @property
-    def n(self) -> int:
-        return self.farm.num_servers
-
-    def draining_mask(self) -> np.ndarray:
-        return np.asarray([s.sealed for s in self.farm.servers], dtype=bool)
-
-    def loads_of(self, indices: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            [self.farm.servers[int(i)].queue_length for i in indices], dtype=np.int64
-        )
-
-    def join(self, count: int, capacity=None) -> np.ndarray:
-        return self.farm.add_servers(count, capacity=capacity)
-
-    def leave(self, indices: np.ndarray, policy: str) -> int:
-        return self.farm.remove_servers(indices, policy=policy)
-
-    def seal(self, indices: np.ndarray) -> None:
-        self.farm.seal_servers(indices)
-
-    def capacity_scalar(self) -> int | None:
-        capacities = {s.capacity for s in self.farm.servers}
-        if len(capacities) == 1:
-            only = capacities.pop()
-            return only if isinstance(only, int) else None
-        return None
-
-    def capacity_total(self) -> int | None:
-        total = 0
-        for server in self.farm.servers:
-            if server.capacity is None:
-                return None
-            total += server.capacity
-        return total
-
-    def set_capacity_all(self, value: int) -> None:
-        for server in self.farm.servers:
-            server.set_capacity(value)
-
-
 def bind_membership_adapter(process: Any):
-    """Adapter for whichever membership surface ``process`` exposes."""
-    if hasattr(process, "grow_bins") and hasattr(process, "shrink_bins"):
-        return _BallChurnAdapter(process)
-    if hasattr(process, "add_servers") and hasattr(process, "remove_servers"):
-        return _FarmChurnAdapter(process)
-    raise ConfigurationError(
-        f"don't know how to churn {type(process).__name__}: expected a ball "
-        "process (grow_bins/shrink_bins) or a server farm (add_servers/remove_servers)"
-    )
+    """Adapter for the membership surface (``grow_bins``/``shrink_bins``) of ``process``."""
+    if not (hasattr(process, "grow_bins") and hasattr(process, "shrink_bins")):
+        raise ConfigurationError(
+            f"don't know how to churn {type(process).__name__}: expected a ball "
+            "process (grow_bins/shrink_bins)"
+        )
+    return _BallChurnAdapter(process)
 
 
 class _MembershipMutator:
@@ -179,7 +129,7 @@ class _MembershipMutator:
 class ChurnInjector(_MembershipMutator):
     """Observer that applies a churn schedule to the observed process.
 
-    Attach it to a driver or farm alongside (before) any
+    Attach it to a driver alongside (before) any
     :class:`~repro.faults.FaultInjector`; see
     :class:`~repro.churn.scenario.ChaosScenario` for the standard wiring.
 

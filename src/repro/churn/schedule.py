@@ -1,4 +1,4 @@
-"""Declarative churn schedules: dynamic bin/server membership over time.
+"""Declarative churn schedules: dynamic bin membership over time.
 
 A :class:`ChurnSchedule` is the membership counterpart of
 :class:`~repro.faults.schedule.FaultSchedule`: an immutable description of

@@ -9,7 +9,7 @@ The engine layers generic machinery on top:
   measurement collectors.
 * :mod:`repro.engine.driver` — burn-in + measurement-window execution.
 * :mod:`repro.engine.observers` — pluggable per-round callbacks (tracing,
-  invariant checking, progress logging).
+  invariant checking, profiling).
 * :mod:`repro.engine.stability` — burn-in heuristics and stationarity
   diagnostics.
 """
@@ -20,7 +20,6 @@ from repro.engine.observers import (
     AgeProfiler,
     InvariantChecker,
     Observer,
-    ProgressLogger,
     TraceRecorder,
 )
 from repro.engine.stability import default_burn_in, is_stationary
@@ -35,7 +34,6 @@ __all__ = [
     "TraceRecorder",
     "InvariantChecker",
     "AgeProfiler",
-    "ProgressLogger",
     "default_burn_in",
     "TraceWriter",
     "read_trace",

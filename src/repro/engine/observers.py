@@ -3,7 +3,7 @@
 Observers receive every :class:`~repro.engine.metrics.RoundRecord` produced
 by the driver — including burn-in rounds — and may inspect the process
 itself. They are the extension point for tracing, invariant auditing, and
-progress reporting without touching simulator inner loops.
+profiling without touching simulator inner loops.
 
 Ordering and error semantics (see ``docs/observability.md``):
 
@@ -20,8 +20,6 @@ Ordering and error semantics (see ``docs/observability.md``):
 
 from __future__ import annotations
 
-import sys
-import time
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -35,7 +33,6 @@ __all__ = [
     "InvariantChecker",
     "AgeProfiler",
     "LoadDistributionObserver",
-    "ProgressLogger",
 ]
 
 
@@ -168,45 +165,3 @@ class LoadDistributionObserver:
             out[value] = count
         return out / out.sum()
 
-
-def _stream_is_tty(stream: Any) -> bool:
-    """True when ``stream`` is an interactive terminal (safe on pseudo-files)."""
-    isatty = getattr(stream, "isatty", None)
-    if isatty is None:
-        return False
-    try:
-        return bool(isatty())
-    except (ValueError, OSError):
-        return False
-
-
-class ProgressLogger:
-    """Writes a one-line progress report every ``every`` rounds.
-
-    On a TTY the line updates in place (carriage return); on non-TTY
-    streams (CI logs, redirected files) each report is a plain
-    newline-terminated line, so logs stay readable.
-    """
-
-    def __init__(self, every: int = 1000, stream=None) -> None:
-        if every < 1:
-            raise ValueError(f"'every' must be positive, got {every}")
-        self.every = every
-        self.stream = stream if stream is not None else sys.stderr
-        self.use_tty = _stream_is_tty(self.stream)
-        self._start = time.perf_counter()
-        self._line_width = 0
-
-    def on_round(self, record: RoundRecord, process: Any) -> None:
-        if record.round % self.every == 0:
-            elapsed = time.perf_counter() - self._start
-            text = (
-                f"[round {record.round}] pool={record.pool_size} "
-                f"max_load={record.max_load} elapsed={elapsed:.1f}s"
-            )
-            if self.use_tty:
-                padding = " " * max(0, self._line_width - len(text))
-                self._line_width = len(text)
-                self.stream.write("\r" + text + padding)
-            else:
-                self.stream.write(text + "\n")

@@ -2,8 +2,8 @@
 
 Layer 1 of the robustness subsystem: declarative fault schedules
 (:mod:`repro.faults.schedule`), an observer-based injector that applies them
-to :class:`~repro.core.capped.CappedProcess`-style ball processes and to
-:class:`~repro.cluster.farm.ServerFarm` (:mod:`repro.faults.injector`), and
+to :class:`~repro.core.capped.CappedProcess`-style ball processes
+(:mod:`repro.faults.injector`), and
 recovery-time metrics that quantify empirical self-stabilization
 (:mod:`repro.faults.recovery`).
 

@@ -3,19 +3,13 @@ to a live simulator through the observer pipeline.
 
 The injector implements the engine's :class:`~repro.engine.observers.Observer`
 protocol — ``on_round(record, process)`` — so it plugs into
-:class:`~repro.engine.driver.SimulationDriver` (for ball processes) and
-:class:`~repro.cluster.farm.ServerFarm` (which runs the same observer pipeline
-per tick) without touching any simulator inner loop. Observers fire at the end
-of round ``t``, so an event scheduled ``at_round = t`` first affects round
-``t + 1``.
+:class:`~repro.engine.driver.SimulationDriver` without touching any simulator
+inner loop. Observers fire at the end of round ``t``, so an event scheduled
+``at_round = t`` first affects round ``t + 1``.
 
-Two adapters translate schedule events into simulator mutations:
-
-* ball processes (anything exposing a ``bins`` :class:`~repro.balls.bin_array.
-  BinArray` and an age ``pool``) — bins go down/up, capacities change, pool
-  balls are shed;
-* :class:`~repro.cluster.farm.ServerFarm` — servers fail/recover, queue
-  capacities change, pending requests are shed.
+An adapter translates schedule events into mutations of a ball process
+(anything exposing a ``bins`` :class:`~repro.balls.bin_array.BinArray` and an
+age ``pool``): bins go down/up, capacities change, pool balls are shed.
 
 Determinism: all stochastic choices come from a dedicated RNG stream derived
 from ``schedule.seed`` (``RngFactory(seed).generator("faults")``), never from
@@ -85,65 +79,21 @@ class _BallProcessAdapter:
         return to_drop - remaining
 
 
-class _FarmAdapter:
-    """Mutates a :class:`~repro.cluster.farm.ServerFarm`."""
-
-    def __init__(self, process: Any) -> None:
-        self.farm = process
-
-    @property
-    def n(self) -> int:
-        return self.farm.num_servers
-
-    def down_mask(self) -> np.ndarray:
-        return np.asarray([s.down for s in self.farm.servers], dtype=bool)
-
-    def crash(self, indices: np.ndarray, wipe: bool) -> int:
-        lost = 0
-        for index in indices:
-            lost += len(self.farm.servers[int(index)].fail(wipe=wipe))
-        return lost
-
-    def recover(self, indices: np.ndarray) -> None:
-        for index in indices:
-            self.farm.servers[int(index)].recover()
-
-    def get_capacity(self, indices: np.ndarray) -> np.ndarray:
-        capacities = [self.farm.servers[int(i)].capacity for i in indices]
-        if any(c is None for c in capacities):
-            raise ConfigurationError("cannot degrade an unbounded server")
-        return np.asarray(capacities, dtype=np.int64)
-
-    def set_capacity(self, indices: np.ndarray, values) -> None:
-        values = np.broadcast_to(np.asarray(values, dtype=np.int64), indices.shape)
-        for index, value in zip(indices, values):
-            self.farm.servers[int(index)].set_capacity(int(value))
-
-    def shed(self, fraction: float) -> int:
-        pending = self.farm.pending
-        to_drop = int(fraction * len(pending))
-        if to_drop:
-            # pending is sorted oldest-first; shed from the tail (youngest).
-            del pending[len(pending) - to_drop :]
-        return to_drop
-
-
 class FaultInjector:
     """Observer that applies a fault schedule to the observed process.
 
-    Attach it to a driver (``SimulationDriver(..., observers=[injector])``)
-    or a farm (``ServerFarm(..., observers=[injector])``). The first
-    ``on_round`` call binds the injector to that process; reuse across
-    processes is an error (build one injector per run).
+    Attach it to a driver (``SimulationDriver(..., observers=[injector])``).
+    The first ``on_round`` call binds the injector to that process; reuse
+    across processes is an error (build one injector per run).
 
     Attributes
     ----------
     crashes / recoveries:
         Total crash and recovery transitions applied.
     balls_lost:
-        Balls/requests destroyed by wiped buffers.
+        Balls destroyed by wiped buffers.
     requests_dropped:
-        Pool/pending entries shed by :class:`RequestDrop` events.
+        Pool balls shed by :class:`RequestDrop` events.
     down_rounds:
         Sum over rounds of the number of entities down (entity-rounds of
         outage actually imposed).
@@ -191,15 +141,12 @@ class FaultInjector:
                     "a FaultInjector is bound to one process; build one per run"
                 )
             return self._adapter
-        if hasattr(process, "bins") and hasattr(process, "pool"):
-            self._adapter = _BallProcessAdapter(process)
-        elif hasattr(process, "servers") and hasattr(process, "pending"):
-            self._adapter = _FarmAdapter(process)
-        else:
+        if not (hasattr(process, "bins") and hasattr(process, "pool")):
             raise ConfigurationError(
                 f"don't know how to inject faults into {type(process).__name__}: "
-                "expected a ball process (bins + pool) or a server farm"
+                "expected a ball process (bins + pool)"
             )
+        self._adapter = _BallProcessAdapter(process)
         self._process = process
         return self._adapter
 

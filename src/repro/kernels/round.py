@@ -391,7 +391,6 @@ def resolve_capped_round_serial(
     bucket_counts: np.ndarray,
     bucket_ages: np.ndarray,
     hist_size: int,
-    sparse_threshold: int | None = None,
     initial_hist: np.ndarray | None = None,
 ) -> SerialRound:
     """Whole-round serial kernel for finite capacities: accept + delete.
@@ -412,11 +411,13 @@ def resolve_capped_round_serial(
        :func:`_resolve_counting`), its sum is the bucket's acceptance,
        ``N − H[0]`` is the deletion count, and the last non-zero index is
        the max load. No non-zero scans over bins, ever.
-    3. **Sparse buckets never touch O(N) memory.** A bucket with few
-       balls (older buckets at equilibrium are tiny) is resolved by
-       gather/scatter on its unique keys alone; ``H`` is adjusted through
-       the same ΔH bookkeeping, so dense and sparse buckets compose
-       freely in one sweep.
+    3. **Sparse buckets never touch O(N) memory.** A bucket with at most
+       ``N >> 3`` balls (older buckets at equilibrium are tiny) is
+       resolved by gather/scatter on its unique keys alone; ``H`` is
+       adjusted through the same ΔH bookkeeping, so dense and sparse
+       buckets compose freely in one sweep. (Buckets small enough that
+       even ``np.unique`` dispatch overhead dominates — a couple dozen
+       balls — are resolved ball-by-ball in Python instead.)
 
     The FIFO deletion ``max(Q − 1, 0)`` is fused into the same pass
     structure, and the returned ``new_loads`` is handed to the caller by
@@ -441,11 +442,6 @@ def resolve_capped_round_serial(
         scalar.
     hist_size:
         ``max(capacity_limit) + 1`` — fixed size for the load histogram.
-    sparse_threshold:
-        Buckets with at most this many balls take the gather/scatter
-        path; defaults to ``N // 8``. (Buckets small enough that even
-        ``np.unique`` dispatch overhead dominates — a couple dozen balls
-        — are resolved ball-by-ball in Python instead.)
     initial_hist:
         Optional ``bincount(loads, minlength=hist_size)`` as a list,
         computed by a previous call (``SerialRound.next_hist``); passing
@@ -465,8 +461,7 @@ def resolve_capped_round_serial(
     if type(bucket_ages) is not list:
         bucket_ages = np.asarray(bucket_ages).tolist()
     num_buckets = len(bucket_counts)
-    if sparse_threshold is None:
-        sparse_threshold = num_keys >> 3
+    sparse_threshold = num_keys >> 3
     scalar_limit = np.isscalar(capacity_limit)
 
     tel = _telemetry_current()

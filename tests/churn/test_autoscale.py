@@ -5,6 +5,7 @@ import pytest
 from repro.churn import Autoscaler, AutoscalingPolicy
 from repro.core.capped import CappedProcess
 from repro.errors import ConfigurationError
+from repro.processes.greedy import GreedyBatchProcess
 
 
 def run_with_autoscaler(process, scaler, rounds):
@@ -44,6 +45,13 @@ class TestPolicyValidation:
     def test_scaler_requires_policy_instance(self):
         with pytest.raises(ConfigurationError):
             Autoscaler({"target": 0.5})
+
+    def test_rejects_process_without_membership_surface(self):
+        # GREEDY has no grow_bins/shrink_bins, so there is nothing to scale.
+        process = GreedyBatchProcess(n=16, d=2, lam=0.75, rng=0)
+        scaler = Autoscaler(AutoscalingPolicy(controller="p99_wait", target=1.0))
+        with pytest.raises(ConfigurationError, match="grow_bins/shrink_bins"):
+            scaler.on_round(process.step(), process)
 
 
 class TestUtilizationController:

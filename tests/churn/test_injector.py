@@ -22,6 +22,7 @@ from repro.churn import (
 )
 from repro.core.capped import CappedProcess
 from repro.errors import ConfigurationError
+from repro.processes.greedy import GreedyBatchProcess
 
 from tests.kernels.test_fused_equivalence import assert_records_equal
 
@@ -290,3 +291,13 @@ class TestStateRoundTrip:
         injector = ChurnInjector(ChurnSchedule())
         with pytest.raises((KeyError, TypeError, ConfigurationError)):
             injector.set_state({"bogus": 1})
+
+
+class TestBinding:
+    def test_rejects_process_without_membership_surface(self):
+        # GREEDY has no grow_bins/shrink_bins, so there is nothing to churn.
+        process = GreedyBatchProcess(n=16, d=2, lam=0.75, rng=0)
+        injector = ChurnInjector(ChurnSchedule(events=(JoinBurst(at_round=1, count=4),)))
+        with pytest.raises(ConfigurationError, match="grow_bins/shrink_bins"):
+            injector.on_round(process.step(), process)
+        assert process.n == 16

@@ -67,12 +67,12 @@ class TestLoadDistribution:
         assert observer.distribution().size == 0
 
     def test_ignores_processes_without_bins(self):
-        from repro.processes.becchetti import RepeatedBallsProcess
+        from repro.processes.greedy import GreedyBatchProcess
 
         observer = LoadDistributionObserver()
-        process = RepeatedBallsProcess(n=16, rng=0)
+        process = GreedyBatchProcess(n=16, d=2, lam=0.75, rng=0)
         SimulationDriver(burn_in=0, measure=5, observers=[observer]).run(process)
-        # Becchetti exposes `loads` but not `bins`, so nothing is recorded.
+        # GREEDY exposes `loads` but not `bins`, so nothing is recorded.
         assert observer.rounds_observed == 0
 
     def test_distribution_sums_to_one(self):

@@ -1,12 +1,10 @@
 """Unit tests for observers."""
 
-import io
-
 import numpy as np
 import pytest
 
 from repro.engine.metrics import RoundRecord
-from repro.engine.observers import InvariantChecker, Observer, ProgressLogger, TraceRecorder
+from repro.engine.observers import InvariantChecker, Observer, TraceRecorder
 from repro.errors import InvariantViolation
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -84,20 +82,3 @@ class TestInvariantChecker:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             InvariantChecker(every=0)
-
-
-class TestProgressLogger:
-    def test_writes_at_interval(self):
-        stream = io.StringIO()
-        logger = ProgressLogger(every=2, stream=stream)
-        for i in range(4):
-            logger.on_round(record(i + 1, pool=7), process=None)
-        output = stream.getvalue()
-        assert output.count("pool=7") == 2
-        assert "[round 2]" in output
-
-    def test_silent_between_intervals(self):
-        stream = io.StringIO()
-        logger = ProgressLogger(every=100, stream=stream)
-        logger.on_round(record(1), process=None)
-        assert stream.getvalue() == ""

@@ -11,7 +11,6 @@ from repro.core.capped import CappedProcess
 from repro.core.modcapped import ModCappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import InvariantChecker, TraceRecorder
-from repro.processes.becchetti import RepeatedBallsProcess
 from repro.processes.greedy import GreedyBatchProcess
 from repro.workloads.arrivals import BernoulliArrivals, BurstyArrivals, PoissonArrivals
 
@@ -32,10 +31,6 @@ class TestInvariantSweeps:
 
     def test_greedy_invariants_hold(self):
         process = GreedyBatchProcess(n=128, d=2, lam=0.875, rng=1)
-        SimulationDriver(burn_in=0, measure=300, observers=[InvariantChecker()]).run(process)
-
-    def test_becchetti_invariants_hold(self):
-        process = RepeatedBallsProcess(n=64, rng=2)
         SimulationDriver(burn_in=0, measure=300, observers=[InvariantChecker()]).run(process)
 
 
