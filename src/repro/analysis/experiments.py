@@ -967,19 +967,13 @@ def fault_recovery(profile: Profile) -> ExperimentResult:
     ≈ (1 − λ)·n per round, so recovery stretches like 1/(1 − λ) as λ → 1 —
     the λ-exponent-6 rows should recover much more slowly than exponent-2.
     """
+    from repro.churn import CapacityDegradation, CrashBurst, Injector, Schedule
     from repro.core.capped import CappedProcess
     from repro.core.meanfield import equilibrium as mf_equilibrium
     from repro.engine.driver import SimulationDriver
     from repro.engine.observers import InvariantChecker, TraceRecorder
     from repro.engine.stability import default_burn_in
-    from repro.faults import (
-        CapacityDegradation,
-        CrashBurst,
-        FaultInjector,
-        FaultSchedule,
-        measure_recovery,
-        per_round_p99,
-    )
+    from repro.faults import measure_recovery, per_round_p99
 
     result = ExperimentResult(
         experiment_id="fault_recovery",
@@ -1029,11 +1023,11 @@ def fault_recovery(profile: Profile) -> ExperimentResult:
         for fault_index, (fault_name, (duration, make_event, backlog)) in enumerate(faults.items()):
             fault_round = burn + pre
             post = max(300, int(4.0 * backlog / drain) + 150)
-            schedule = FaultSchedule(
+            schedule = Schedule(
                 events=(make_event(fault_round),),
                 seed=_point_seed(profile, 171, used_exp, fault_index),
             )
-            injector = FaultInjector(schedule)
+            injector = Injector(schedule)
             trace = TraceRecorder()
             process = CappedProcess(
                 n=n,
@@ -1109,7 +1103,7 @@ def churn_recovery(profile: Profile) -> ExperimentResult:
     band. With λ = 1/2 a 25% leave burst leaves effective λ = 2/3 < 1, so
     every scenario must settle in finite time.
     """
-    from repro.churn import ChurnInjector, ChurnSchedule, JoinBurst, LeaveBurst
+    from repro.churn import Injector, JoinBurst, LeaveBurst, Schedule
     from repro.core.capped import CappedProcess
     from repro.core.meanfield import equilibrium as mf_equilibrium
     from repro.engine.driver import SimulationDriver
@@ -1156,9 +1150,7 @@ def churn_recovery(profile: Profile) -> ExperimentResult:
         ("join_25pct", "n/a", JoinBurst(at_round=churn_round, count=n // 4)),
     ]
     for index, (name, policy, event) in enumerate(scenarios):
-        injector = ChurnInjector(
-            ChurnSchedule(events=(event,), seed=_point_seed(profile, 181, index))
-        )
+        injector = Injector(Schedule(events=(event,), seed=_point_seed(profile, 181, index)))
         trace = TraceRecorder()
         process = CappedProcess(
             n=n,

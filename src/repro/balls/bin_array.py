@@ -575,8 +575,8 @@ class BinArray:
 
         Removal compacts the array: surviving bins keep their relative
         order but indices above a removed bin shift down. Callers that
-        track bin indices across rounds (fault injectors) must be
-        re-mapped — see ``ChurnInjector.add_remap_listener``.
+        track bin indices across rounds (the injector's down map) must be
+        re-mapped — see ``repro.churn.removal_mapping``.
         """
         if policy not in SHRINK_POLICIES:
             raise ConfigurationError(

@@ -1,8 +1,9 @@
-"""Dynamic membership: churn schedules, injection, autoscaling, scenarios.
+"""Faults and dynamic membership: schedules, injection, autoscaling, scenarios.
 
-The churn subsystem lets bins join and leave *mid-run* — the
-regime studied by the dynamic balls-into-bins line of work — while keeping
-every repro guarantee intact: determinism under a dedicated RNG substream,
+Crashes, capacity loss, pool shedding, joins and leaves all change the same
+bin set, so one :class:`Schedule` holds every event kind and one
+:class:`Injector` applies them to a live process — while keeping every
+repro guarantee intact: determinism under dedicated RNG substreams,
 bit-identical checkpoint/resume through membership changes, and zero
 perturbation of static runs (an empty schedule is a no-op observer).
 
@@ -11,30 +12,38 @@ RNG-stream contract, and the autoscaler knobs.
 """
 
 from repro.churn.autoscale import Autoscaler, AutoscalingPolicy
-from repro.churn.injector import ChurnInjector, removal_mapping
+from repro.churn.injector import Injector, removal_mapping
+from repro.churn.scenario import ChaosScenario, scenario_from_dict, scenario_from_json
 from repro.churn.schedule import (
-    ChurnEvent,
-    ChurnSchedule,
+    CapacityDegradation,
+    CrashBurst,
     Flapping,
     JoinBurst,
     LeaveBurst,
+    PeriodicOutage,
     PoissonChurn,
+    PoolShed,
     Ramp,
+    Schedule,
+    StochasticCrashes,
 )
-from repro.churn.scenario import ChaosScenario, scenario_from_dict, scenario_from_json
 
 __all__ = [
     "Autoscaler",
     "AutoscalingPolicy",
+    "CapacityDegradation",
     "ChaosScenario",
-    "ChurnEvent",
-    "ChurnInjector",
-    "ChurnSchedule",
+    "CrashBurst",
     "Flapping",
+    "Injector",
     "JoinBurst",
     "LeaveBurst",
+    "PeriodicOutage",
     "PoissonChurn",
+    "PoolShed",
     "Ramp",
+    "Schedule",
+    "StochasticCrashes",
     "removal_mapping",
     "scenario_from_dict",
     "scenario_from_json",

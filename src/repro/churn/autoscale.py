@@ -32,12 +32,10 @@ from typing import Any
 import numpy as np
 
 from repro.balls.bin_array import SHRINK_POLICIES
-from repro.churn.injector import (
-    _MembershipMutator,
-    bind_membership_adapter,
-    removal_mapping,
-)
+from repro.churn.injector import removal_mapping, require_ball_process, sample_sorted
+from repro.churn.schedule import check_at_least, check_bounds, check_choice
 from repro.errors import ConfigurationError
+from repro.faults.recovery import record_p99
 from repro.rng import RngFactory
 from repro.telemetry.runtime import current as _telemetry_current, span as _span
 
@@ -63,39 +61,35 @@ class AutoscalingPolicy:
     capacity_max: int | None = None
 
     def __post_init__(self) -> None:
-        if self.controller not in CONTROLLERS:
-            raise ConfigurationError(
-                f"controller must be one of {CONTROLLERS}, got {self.controller!r}"
-            )
+        check_choice("controller", self.controller, CONTROLLERS)
         if self.target <= 0.0:
             raise ConfigurationError(f"target must be positive, got {self.target}")
         if not 0.0 <= self.band < 1.0:
             raise ConfigurationError(f"band must be in [0, 1), got {self.band}")
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if self.check_every < 1:
-            raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
-        if self.cooldown < 0:
-            raise ConfigurationError(f"cooldown must be >= 0, got {self.cooldown}")
-        if self.max_step < 1:
-            raise ConfigurationError(f"max_step must be >= 1, got {self.max_step}")
-        if self.min_n < 1:
-            raise ConfigurationError(f"min_n must be >= 1, got {self.min_n}")
-        if self.max_n is not None and self.max_n < self.min_n:
-            raise ConfigurationError(f"max_n {self.max_n} below min_n {self.min_n}")
-        if self.policy not in SHRINK_POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {SHRINK_POLICIES}, got {self.policy!r}"
-            )
+        for name in ("window", "check_every", "max_step"):
+            check_at_least(name, getattr(self, name))
+        check_at_least("cooldown", self.cooldown, 0)
+        check_bounds(self.min_n, self.max_n)
+        check_choice("policy", self.policy, SHRINK_POLICIES)
         if self.policy == "drain":
             # Draining needs the two-stage pending bookkeeping the
-            # ChurnInjector owns; the autoscaler keeps no such queue.
+            # Injector owns; the autoscaler keeps no such queue.
             raise ConfigurationError("autoscaler scale-in supports 'rehash' or 'drop' only")
-        if self.capacity_max is not None and self.capacity_max < 1:
-            raise ConfigurationError(f"capacity_max must be >= 1, got {self.capacity_max}")
+        if self.capacity_max is not None:
+            check_at_least("capacity_max", self.capacity_max)
 
 
-class Autoscaler(_MembershipMutator):
+def _capacity_total(bins) -> int | None:
+    """Total buffer slots across the bins (None when unbounded)."""
+    capacity = bins.capacity
+    if capacity is None:
+        return None
+    if isinstance(capacity, int):
+        return capacity * bins.n
+    return int(np.asarray(capacity).sum())
+
+
+class Autoscaler:
     """Observer implementing :class:`AutoscalingPolicy` on a live process.
 
     Attributes
@@ -107,15 +101,14 @@ class Autoscaler(_MembershipMutator):
     """
 
     def __init__(self, policy: AutoscalingPolicy, seed: int = 0) -> None:
-        super().__init__()
         if not isinstance(policy, AutoscalingPolicy):
             raise ConfigurationError(
                 f"policy must be an AutoscalingPolicy, got {type(policy).__name__}"
             )
         self.policy = policy
         self._rng = RngFactory(seed).generator("autoscale")
-        self._adapter = None
         self._process = None
+        self._remap_listeners: list[Any] = []
         self._window: list[float] = []
         self._last_signal = 0.0
         self._last_scale_round: int | None = None
@@ -124,49 +117,44 @@ class Autoscaler(_MembershipMutator):
         self.capacity_raises = 0
         self.events_log: list[tuple[int, str]] = []
 
-    def _bind(self, process: Any):
-        if self._adapter is not None:
-            if process is not self._process:
+    def add_remap_listener(self, listener: Any) -> None:
+        """Register an observer to notify of scale-outs (``bins_joined``) and
+        scale-ins (``remap_entities``)."""
+        if listener is self:
+            raise ConfigurationError("an observer cannot be its own remap listener")
+        if listener not in self._remap_listeners:
+            self._remap_listeners.append(listener)
+
+    def _bind(self, process: Any) -> None:
+        if self._process is None:
+            require_ball_process(process)
+            if self.policy.controller == "utilization" and _capacity_total(process.bins) is None:
                 raise ConfigurationError(
-                    "an Autoscaler is bound to one process; build one per run"
+                    "the utilization controller needs bounded capacity "
+                    "(an unbounded pool cannot report occupancy)"
                 )
-            return self._adapter
-        adapter = bind_membership_adapter(process)
-        if self.policy.controller == "utilization" and adapter.capacity_total() is None:
-            raise ConfigurationError(
-                "the utilization controller needs bounded capacity "
-                "(an unbounded pool cannot report occupancy)"
-            )
-        self._adapter = adapter
-        self._process = process
-        return self._adapter
+            self._process = process
+        elif process is not self._process:
+            raise ConfigurationError("an Autoscaler is bound to one process; build one per run")
 
     def _note(self, t: int, description: str, action: str) -> None:
+        """Log one scale decision; a decision restarts the cooldown and the window."""
+        self._last_scale_round = t
+        self._window.clear()
         self.events_log.append((t, description))
         tel = _telemetry_current()
         if tel is not None:
             tel.inc("scale_events_total", action=action)
             tel.emit({"type": "scale", "round": t, "action": action, "description": description})
 
-    # -- signal extraction --------------------------------------------------
-
-    def _signal(self, record, adapter) -> float:
+    def _signal(self, record, bins) -> float:
         if self.policy.controller == "utilization":
-            total = adapter.capacity_total()
-            if total is None:
-                raise ConfigurationError(
-                    "utilization controller needs bounded capacity "
-                    "(an unbounded pool cannot report occupancy)"
-                )
+            total = _capacity_total(bins)
             self._last_signal = record.total_load / total if total else 0.0
-            return self._last_signal
-        counts = np.asarray(record.wait_counts)
-        total = int(counts.sum()) if counts.size else 0
-        if total:
-            cumulative = np.cumsum(counts)
-            rank = int(np.searchsorted(cumulative, np.ceil(0.99 * total)))
-            rank = min(rank, len(record.wait_values) - 1)
-            self._last_signal = float(record.wait_values[rank])
+        else:
+            p99 = record_p99(record)
+            if p99 is not None:
+                self._last_signal = p99
         return self._last_signal
 
     # -- checkpointing ------------------------------------------------------
@@ -196,26 +184,21 @@ class Autoscaler(_MembershipMutator):
         self.capacity_raises = int(state["capacity_raises"])
         self.events_log = [(int(t), str(description)) for t, description in state["events_log"]]
 
-    def remap_entities(self, mapping: np.ndarray) -> None:
-        """No per-entity bookkeeping; present for uniform mutator wiring."""
-
     # -- the observer hook --------------------------------------------------
 
     def on_round(self, record, process: Any) -> None:
-        adapter = self._bind(process)
+        self._bind(process)
+        bins = process.bins
         t = record.round
         policy = self.policy
 
-        self._window.append(self._signal(record, adapter))
+        self._window.append(self._signal(record, bins))
         if len(self._window) > policy.window:
             del self._window[: len(self._window) - policy.window]
 
         if t % policy.check_every != 0 or len(self._window) < policy.window:
             return
-        if (
-            self._last_scale_round is not None
-            and t - self._last_scale_round < policy.cooldown
-        ):
+        if self._last_scale_round is not None and t - self._last_scale_round < policy.cooldown:
             return
 
         mean_signal = sum(self._window) / len(self._window)
@@ -226,57 +209,51 @@ class Autoscaler(_MembershipMutator):
         if abs(error) <= policy.band:
             return
 
-        step = min(policy.max_step, max(1, round(adapter.n * abs(error))))
+        step = min(policy.max_step, max(1, round(bins.n * abs(error))))
         if error > 0:
-            headroom = (
-                step if policy.max_n is None else min(step, policy.max_n - adapter.n)
-            )
+            headroom = step if policy.max_n is None else min(step, policy.max_n - bins.n)
             if headroom > 0:
                 with _span("scale_event", component="autoscale", direction="out"):
-                    adapter.join(headroom, None)
+                    added = process.grow_bins(headroom, capacity=None)
+                for listener in self._remap_listeners:
+                    listener.bins_joined(bins, added)
                 self.scale_outs += 1
-                self._last_scale_round = t
-                self._window.clear()
                 self._note(
                     t,
                     f"scale out +{headroom} (signal {mean_signal:.3f} > "
-                    f"target {policy.target}) -> n={adapter.n}",
+                    f"target {policy.target}) -> n={bins.n}",
                     "scale_out",
                 )
             else:
-                capacity = adapter.capacity_scalar()
+                capacity = bins.capacity if isinstance(bins.capacity, int) else None
                 if (
                     policy.capacity_max is not None
                     and capacity is not None
                     and capacity < policy.capacity_max
                 ):
                     with _span("scale_event", component="autoscale", direction="capacity"):
-                        adapter.set_capacity_all(capacity + 1)
+                        bins.set_capacity(capacity + 1)
                     self.capacity_raises += 1
-                    self._last_scale_round = t
-                    self._window.clear()
                     self._note(t, f"raise capacity to {capacity + 1} (n at max)", "raise_c")
         else:
-            room = adapter.n - policy.min_n
-            count = min(step, room)
+            count = min(step, bins.n - policy.min_n)
             if count > 0:
-                eligible = np.flatnonzero(~adapter.draining_mask())
-                count = min(count, eligible.size)
-                if count <= 0:
+                victims = sample_sorted(self._rng, np.flatnonzero(~bins.draining), count)
+                if victims.size == 0:
                     return
-                victims = np.sort(self._rng.choice(eligible, size=count, replace=False))
-                old_n = adapter.n
+                count = victims.size
+                old_n = bins.n
                 with _span("scale_event", component="autoscale", direction="in"):
-                    adapter.leave(victims, policy.policy)
-                self._broadcast_remap(removal_mapping(old_n, victims))
+                    process.shrink_bins(victims, policy=policy.policy)
+                mapping = removal_mapping(old_n, victims)
+                for listener in self._remap_listeners:
+                    listener.remap_entities(mapping)
                 self.scale_ins += 1
-                self._last_scale_round = t
-                self._window.clear()
                 self._note(
                     t,
                     f"scale in -{count} (signal {mean_signal:.3f} < "
-                    f"target {policy.target}) -> n={adapter.n}",
+                    f"target {policy.target}) -> n={bins.n}",
                     "scale_in",
                 )
         if tel is not None:
-            tel.set_gauge("membership_n", adapter.n)
+            tel.set_gauge("membership_n", bins.n)

@@ -1,13 +1,11 @@
-"""The unified chaos scenario DSL: churn + faults + autoscaling in one spec.
+"""The chaos scenario DSL: faults + churn + autoscaling in one spec.
 
-A :class:`ChaosScenario` bundles up to three immutable schedules — a
-:class:`~repro.faults.schedule.FaultSchedule`, a
-:class:`~repro.churn.schedule.ChurnSchedule`, and an
-:class:`~repro.churn.autoscale.AutoscalingPolicy` — and builds the wired
-observer pipeline for a run: churn injector first (membership changes land
-before fault bookkeeping reads the round), then the fault injector, then the
-autoscaler. Every observer that shrinks the pool notifies the others through
-``remap_entities`` so per-entity bookkeeping survives index compaction.
+A :class:`ChaosScenario` bundles up to two :class:`~repro.churn.schedule.Schedule`
+sections — ``faults`` and ``churn``, each with its own seed — and an
+:class:`~repro.churn.autoscale.AutoscalingPolicy`, and builds the wired
+observer pipeline for a run: one :class:`~repro.churn.injector.Injector`
+over both schedules, then the autoscaler, which reports every resize it
+makes to the injector.
 
 Scenarios parse from plain dicts/JSON (``scenario_from_dict`` /
 ``scenario_from_json``), giving the CLI and CI a declarative surface::
@@ -24,9 +22,11 @@ Scenarios parse from plain dicts/JSON (``scenario_from_dict`` /
       "autoscale_seed": 3
     }
 
-Event ``type`` names are the snake_case class names. Unknown keys anywhere
-are a :class:`~repro.errors.ConfigurationError` (typos must not silently
-produce a different scenario).
+Event ``type`` names are the snake_case class names; the ``faults`` section
+takes fault events and a ``seed``, the ``churn`` section churn events, a
+``seed`` and the ``min_n``/``max_n`` bounds. Unknown keys anywhere are a
+:class:`~repro.errors.ConfigurationError` (typos must not silently produce
+a different scenario).
 """
 
 from __future__ import annotations
@@ -36,13 +36,9 @@ import re
 from dataclasses import dataclass, fields as dataclass_fields
 
 from repro.churn.autoscale import Autoscaler, AutoscalingPolicy
-from repro.churn.injector import ChurnInjector
-from repro.churn.schedule import ChurnSchedule
-from repro.churn.schedule import _EVENT_TYPES as _CHURN_EVENT_TYPES
+from repro.churn.injector import Injector
+from repro.churn.schedule import CHURN_EVENTS, FAULT_EVENTS, Schedule
 from repro.errors import ConfigurationError
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
-from repro.faults.schedule import _EVENT_TYPES as _FAULT_EVENT_TYPES
 
 __all__ = ["ChaosScenario", "scenario_from_dict", "scenario_from_json"]
 
@@ -51,9 +47,15 @@ def _snake_case(name: str) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
 
 
-#: type-name -> event class, for both halves of the DSL.
-FAULT_EVENT_REGISTRY = {_snake_case(cls.__name__): cls for cls in _FAULT_EVENT_TYPES}
-CHURN_EVENT_REGISTRY = {_snake_case(cls.__name__): cls for cls in _CHURN_EVENT_TYPES}
+#: section -> (kind, type-name -> event class, schedule keys besides events).
+SECTIONS = {
+    "faults": ("fault", {_snake_case(cls.__name__): cls for cls in FAULT_EVENTS}, {"seed"}),
+    "churn": (
+        "churn",
+        {_snake_case(cls.__name__): cls for cls in CHURN_EVENTS},
+        {"seed", "min_n", "max_n"},
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -64,20 +66,16 @@ class ChaosScenario:
     builds an empty observer list and leaves the run untouched.
     """
 
-    faults: FaultSchedule | None = None
-    churn: ChurnSchedule | None = None
+    faults: Schedule | None = None
+    churn: Schedule | None = None
     autoscaling: AutoscalingPolicy | None = None
     autoscale_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.faults is not None and not isinstance(self.faults, FaultSchedule):
-            raise ConfigurationError(
-                f"faults must be a FaultSchedule, got {type(self.faults).__name__}"
-            )
-        if self.churn is not None and not isinstance(self.churn, ChurnSchedule):
-            raise ConfigurationError(
-                f"churn must be a ChurnSchedule, got {type(self.churn).__name__}"
-            )
+        for name in ("faults", "churn"):
+            part = getattr(self, name)
+            if part is not None and not isinstance(part, Schedule):
+                raise ConfigurationError(f"{name} must be a Schedule, got {type(part).__name__}")
         if self.autoscaling is not None and not isinstance(self.autoscaling, AutoscalingPolicy):
             raise ConfigurationError(
                 f"autoscaling must be an AutoscalingPolicy, got "
@@ -85,36 +83,30 @@ class ChaosScenario:
             )
 
     def __bool__(self) -> bool:
-        return (
-            (self.faults is not None and bool(self.faults))
-            or (self.churn is not None and bool(self.churn))
-            or self.autoscaling is not None
-        )
+        return bool(self.faults) or bool(self.churn) or self.autoscaling is not None
 
     def build_observers(self) -> list:
-        """Construct and cross-wire the observers for one run.
+        """Construct and wire the observers for one run.
 
-        Returns ``[ChurnInjector?, FaultInjector?, Autoscaler?]`` (present
-        parts only, in that order) with remap listeners registered both
-        ways: a shrink by the churn injector remaps the fault injector's
-        down map, and a scale-in by the autoscaler remaps the churn
-        injector's pending drains and the fault injector alike.
+        Returns ``[Injector?, Autoscaler?]`` (present parts only, in that
+        order). The injector applies the churn section before the faults
+        section every round; the autoscaler reports each resize to it, so
+        its per-bin bookkeeping follows the compacted indices and joiners.
         """
-        churn_injector = ChurnInjector(self.churn) if self.churn is not None else None
-        fault_injector = FaultInjector(self.faults) if self.faults is not None else None
-        autoscaler = (
-            Autoscaler(self.autoscaling, seed=self.autoscale_seed)
-            if self.autoscaling is not None
-            else None
-        )
-        observers = [o for o in (churn_injector, fault_injector, autoscaler) if o is not None]
-        for mutator in (churn_injector, autoscaler):
-            if mutator is None:
-                continue
-            for listener in observers:
-                if listener is not mutator and hasattr(listener, "remap_entities"):
-                    mutator.add_remap_listener(listener)
+        schedules = [s for s in (self.churn, self.faults) if s is not None]
+        observers: list = [Injector(*schedules)] if schedules else []
+        if self.autoscaling is not None:
+            autoscaler = Autoscaler(self.autoscaling, seed=self.autoscale_seed)
+            for observer in observers:
+                autoscaler.add_remap_listener(observer)
+            observers.append(autoscaler)
         return observers
+
+
+def _check_keys(given, allowed, where: str) -> None:
+    unknown = set(given) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def _build_event(registry: dict, spec: dict, kind: str):
@@ -127,62 +119,30 @@ def _build_event(registry: dict, spec: dict, kind: str):
         raise ConfigurationError(
             f"unknown {kind} event type {type_name!r}; expected one of {sorted(registry)}"
         )
-    allowed = {f.name for f in dataclass_fields(cls)}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys {sorted(unknown)} for {kind} event {type_name!r}; "
-            f"allowed: {sorted(allowed)}"
-        )
+    fields = [f.name for f in dataclass_fields(cls)]
+    _check_keys(spec, fields, f"keys of {kind} event {type_name!r}")
     return cls(**spec)
-
-
-def _build_schedule(spec: dict, kind: str, registry: dict, schedule_cls):
-    spec = dict(spec)
-    events = spec.pop("events", [])
-    allowed = {f.name for f in dataclass_fields(schedule_cls)} - {"events"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys {sorted(unknown)} in {kind} schedule; allowed: {sorted(allowed)}"
-        )
-    built = tuple(_build_event(registry, event, kind) for event in events)
-    return schedule_cls(events=built, **spec)
 
 
 def scenario_from_dict(spec: dict) -> ChaosScenario:
     """Build a :class:`ChaosScenario` from its dict form (see module doc)."""
     if not isinstance(spec, dict):
         raise ConfigurationError(f"scenario must be a dict, got {type(spec).__name__}")
-    spec = dict(spec)
-    allowed = {"faults", "churn", "autoscaling", "autoscale_seed"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scenario keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    faults = spec.get("faults")
-    churn = spec.get("churn")
+    _check_keys(spec, ["autoscaling", "autoscale_seed", *SECTIONS], "scenario keys")
     autoscaling = spec.get("autoscaling")
     if autoscaling is not None:
-        allowed_knobs = {f.name for f in dataclass_fields(AutoscalingPolicy)}
-        unknown_knobs = set(autoscaling) - allowed_knobs
-        if unknown_knobs:
-            raise ConfigurationError(
-                f"unknown autoscaling keys {sorted(unknown_knobs)}; "
-                f"allowed: {sorted(allowed_knobs)}"
-            )
+        knobs = [f.name for f in dataclass_fields(AutoscalingPolicy)]
+        _check_keys(autoscaling, knobs, "autoscaling keys")
+    schedules = {}
+    for section, (kind, registry, allowed) in SECTIONS.items():
+        if spec.get(section) is not None:
+            schedule = dict(spec[section])
+            events = schedule.pop("events", [])
+            _check_keys(schedule, allowed, f"keys in {kind} schedule")
+            built = tuple(_build_event(registry, event, kind) for event in events)
+            schedules[section] = Schedule(events=built, **schedule)
     return ChaosScenario(
-        faults=(
-            None
-            if faults is None
-            else _build_schedule(faults, "fault", FAULT_EVENT_REGISTRY, FaultSchedule)
-        ),
-        churn=(
-            None
-            if churn is None
-            else _build_schedule(churn, "churn", CHURN_EVENT_REGISTRY, ChurnSchedule)
-        ),
+        **schedules,
         autoscaling=None if autoscaling is None else AutoscalingPolicy(**autoscaling),
         autoscale_seed=int(spec.get("autoscale_seed", 0)),
     )

@@ -1,58 +1,217 @@
-"""Declarative churn schedules: dynamic bin membership over time.
+"""Declarative schedules: what goes wrong and who joins or leaves, when.
 
-A :class:`ChurnSchedule` is the membership counterpart of
-:class:`~repro.faults.schedule.FaultSchedule`: an immutable description of
-*who joins and leaves when*, plus a seed for every stochastic choice (which
-bins leave, how many Poisson arrivals/departures fire). Like fault
-schedules, churn schedules carry no simulator state and draw all randomness
-from their own seed through a dedicated RNG stream
-(``RngFactory(seed).generator("churn")``) — never from the simulated
-process's RNG — so attaching churn does not perturb the arrival/placement
-randomness and a (schedule, process-seed) pair fully determines a run.
+A :class:`Schedule` is an immutable list of events plus a seed for every
+stochastic choice (crash victims, leave victims, Poisson counts, stochastic
+crash/recover coins). It carries no simulator state, so one schedule can
+drive many runs. All randomness comes from the seed through two dedicated
+streams, never from the simulated process's RNG: fault events draw from
+``RngFactory(seed).generator("faults")`` and churn events from
+``RngFactory(seed).generator("churn")``. Attaching a schedule therefore
+does not perturb the arrival/placement randomness, and a (schedule,
+process-seed) pair fully determines a run.
 
-Timing convention matches faults: an event with ``at_round = t`` is applied
-at the *end* of round ``t`` (observers fire after the round completes), so
-the new membership is first visible in round ``t + 1``.
+Two event families share the schedule:
+
+fault events (:data:`FAULT_EVENTS`)
+    Bins go down and come back, capacities drop for a window, pool balls
+    are shed: :class:`CrashBurst`, :class:`PeriodicOutage`,
+    :class:`StochasticCrashes`, :class:`CapacityDegradation`,
+    :class:`PoolShed`.
+churn events (:data:`CHURN_EVENTS`)
+    Bins join and leave the membership: :class:`JoinBurst`,
+    :class:`LeaveBurst`, :class:`Flapping`, :class:`PoissonChurn`,
+    :class:`Ramp`.
+
+Timing convention: an event with ``at_round = t`` is applied at the *end* of
+round ``t`` (observers run after the round completes), so its effects are
+first visible in round ``t + 1``. An outage with ``duration = d`` ends at the
+end of round ``t + d``: rounds ``t + 1 .. t + d`` are affected and round
+``t + d + 1`` is the first normal one.
 
 Leave policies (see :meth:`repro.balls.bin_array.BinArray.shrink`):
-
-``rehash``
-    Queued balls on removed bins re-enter the pool (labelled with the
-    current round) and are re-thrown next round.
-``drop``
-    Queued balls are destroyed (counted by the injector).
-``drain``
-    Two-stage removal: the bins are *sealed* first (no new acceptance,
-    FIFO service continues) and removed only once empty.
+``rehash`` re-pools the removed bins' queued balls (labelled with the
+current round), ``drop`` destroys them, and ``drain`` seals the bins first
+(no new acceptance, FIFO service continues) and removes them once empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 from repro.balls.bin_array import SHRINK_POLICIES
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "BUFFER_POLICIES",
+    "CHURN_EVENTS",
+    "FAULT_EVENTS",
+    "CapacityDegradation",
+    "CrashBurst",
+    "Flapping",
     "JoinBurst",
     "LeaveBurst",
-    "Flapping",
+    "PeriodicOutage",
     "PoissonChurn",
+    "PoolShed",
     "Ramp",
-    "ChurnEvent",
-    "ChurnSchedule",
+    "Schedule",
+    "StochasticCrashes",
 ]
 
+#: Crash semantics for buffered state. ``preserved``: a crashed bin keeps
+#: its queue frozen and resumes FIFO service on recovery. ``wiped``: queued
+#: balls are lost at crash time (counted by the injector).
+BUFFER_POLICIES = ("preserved", "wiped")
 
-def _check_at_round(at_round: int) -> None:
-    if at_round < 1:
-        raise ConfigurationError(f"at_round must be >= 1, got {at_round}")
+
+# The public validators also check AutoscalingPolicy.
+def check_at_least(name: str, value: int, low: int = 1) -> None:
+    if value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_policy(policy: str) -> None:
-    if policy not in SHRINK_POLICIES:
-        raise ConfigurationError(f"policy must be one of {SHRINK_POLICIES}, got {policy!r}")
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
+
+
+def check_choice(name: str, value: str, allowed: tuple) -> None:
+    if value not in allowed:
+        raise ConfigurationError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def check_bounds(min_n: int, max_n: int | None) -> None:
+    check_at_least("min_n", min_n)
+    if max_n is not None and max_n < min_n:
+        raise ConfigurationError(f"max_n {max_n} below min_n {min_n}")
+
+
+def _check_window(first_round: int, last_round: int | None) -> None:
+    check_at_least("first_round", first_round)
+    if last_round is not None and last_round < first_round:
+        raise ConfigurationError(f"last_round {last_round} precedes first_round {first_round}")
+
+
+def _check_period(period: int, name: str, length: int) -> None:
+    check_at_least("period", period, 2)
+    if not 1 <= length < period:
+        raise ConfigurationError(
+            f"{name} must be in [1, period), got {length} with period {period}"
+        )
+
+
+# -- fault events -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CrashBurst:
+    """A one-shot outage: a random ``fraction`` of bins crashes at
+    ``at_round`` and recovers ``duration`` rounds later.
+
+    ``duration=None`` means the crashed bins never recover within the
+    run (a permanent capacity loss).
+    """
+
+    at_round: int
+    fraction: float
+    duration: int | None = None
+    buffer_policy: str = "preserved"
+
+    def __post_init__(self) -> None:
+        check_at_least("at_round", self.at_round)
+        _check_fraction(self.fraction)
+        if self.duration is not None:
+            check_at_least("duration", self.duration)
+        check_choice("buffer_policy", self.buffer_policy, BUFFER_POLICIES)
+
+
+@dataclass(frozen=True)
+class PeriodicOutage:
+    """A recurring outage: every ``period`` rounds starting at
+    ``first_round``, a fresh random ``fraction`` of bins crashes for
+    ``duration`` rounds (rolling maintenance / recurring partial failures).
+    """
+
+    period: int
+    duration: int
+    fraction: float
+    first_round: int = 1
+    buffer_policy: str = "preserved"
+
+    def __post_init__(self) -> None:
+        _check_period(self.period, "duration", self.duration)
+        _check_fraction(self.fraction)
+        check_at_least("first_round", self.first_round)
+        check_choice("buffer_policy", self.buffer_policy, BUFFER_POLICIES)
+
+
+@dataclass(frozen=True)
+class StochasticCrashes:
+    """A seeded Markov crash/recover process per bin.
+
+    Each round in ``[first_round, last_round]`` every up bin crashes
+    with probability ``crash_prob`` and every down bin recovers with
+    probability ``recover_prob``, independently. The stationary down
+    fraction is ``crash_prob / (crash_prob + recover_prob)``.
+    """
+
+    crash_prob: float
+    recover_prob: float
+    first_round: int = 1
+    last_round: int | None = None
+    buffer_policy: str = "preserved"
+
+    def __post_init__(self) -> None:
+        for name in ("crash_prob", "recover_prob"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
+        _check_window(self.first_round, self.last_round)
+        check_choice("buffer_policy", self.buffer_policy, BUFFER_POLICIES)
+
+
+@dataclass(frozen=True)
+class CapacityDegradation:
+    """A window during which a ``fraction`` of bins runs with a reduced
+    capacity (``c`` drops for ``duration`` rounds, then the previous
+    per-bin capacity is restored).
+
+    Existing queue contents are never truncated — an over-full bin simply
+    stops accepting until it drains below the degraded capacity. A bin
+    that joins mid-window and inherits less than the window's nominal
+    capacity is raised to it when the window closes (see ``docs/churn.md``).
+    """
+
+    at_round: int
+    duration: int
+    capacity: int
+    fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_at_least("at_round", self.at_round)
+        check_at_least("duration", self.duration)
+        check_at_least("degraded capacity", self.capacity)
+        _check_fraction(self.fraction)
+
+
+@dataclass(frozen=True)
+class PoolShed:
+    """Shed the *youngest* ``fraction`` of the pool at ``at_round`` (an
+    admission-control shed or a lossy network hiccup).
+
+    Shedding youngest-first keeps the balls already owed service and the
+    oldest-first acceptance analysis intact.
+    """
+
+    at_round: int
+    fraction: float
+
+    def __post_init__(self) -> None:
+        check_at_least("at_round", self.at_round)
+        _check_fraction(self.fraction)
+
+
+# -- churn events -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -69,11 +228,10 @@ class JoinBurst:
     capacity: int | None = None
 
     def __post_init__(self) -> None:
-        _check_at_round(self.at_round)
-        if self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
-        if self.capacity is not None and self.capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {self.capacity}")
+        check_at_least("at_round", self.at_round)
+        check_at_least("count", self.count)
+        if self.capacity is not None:
+            check_at_least("capacity", self.capacity)
 
 
 @dataclass(frozen=True)
@@ -82,7 +240,7 @@ class LeaveBurst:
 
     Exactly one of ``fraction`` and ``count`` must be given. The victims
     are chosen uniformly from the *current* membership by the schedule's
-    RNG stream. ``policy`` decides the fate of their queued balls; with
+    churn stream. ``policy`` decides the fate of their queued balls; with
     ``drain`` the victims are sealed at ``at_round`` and removed once their
     queues empty (at most ``c`` rounds later).
     """
@@ -93,26 +251,25 @@ class LeaveBurst:
     policy: str = "rehash"
 
     def __post_init__(self) -> None:
-        _check_at_round(self.at_round)
+        check_at_least("at_round", self.at_round)
         if (self.fraction is None) == (self.count is None):
             raise ConfigurationError("give exactly one of fraction or count")
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ConfigurationError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.count is not None and self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
-        _check_policy(self.policy)
+        if self.fraction is not None:
+            _check_fraction(self.fraction)
+        if self.count is not None:
+            check_at_least("count", self.count)
+        check_choice("policy", self.policy, SHRINK_POLICIES)
 
 
 @dataclass(frozen=True)
 class Flapping:
-    """Nodes that repeatedly leave and rejoin (an unstable rack).
+    """Bins that repeatedly leave and rejoin (an unstable rack).
 
     Every ``period`` rounds starting at ``first_round``, ``count`` random
     bins leave (with ``policy``); ``count`` replacements join
-    ``down_rounds`` later. Membership oscillates by ``count`` with period
-    ``period``. ``last_round`` bounds the flapping window (``None`` = the
-    whole run); departures after ``last_round`` do not fire, but a rejoin
-    scheduled before it still lands.
+    ``down_rounds`` later. ``last_round`` bounds the flapping window
+    (``None`` = the whole run); departures after ``last_round`` do not
+    fire, but a rejoin scheduled before it still lands.
     """
 
     first_round: int
@@ -123,22 +280,10 @@ class Flapping:
     last_round: int | None = None
 
     def __post_init__(self) -> None:
-        if self.first_round < 1:
-            raise ConfigurationError(f"first_round must be >= 1, got {self.first_round}")
-        if self.period < 2:
-            raise ConfigurationError(f"period must be >= 2, got {self.period}")
-        if not 1 <= self.down_rounds < self.period:
-            raise ConfigurationError(
-                f"down_rounds must be in [1, period), got {self.down_rounds} "
-                f"with period {self.period}"
-            )
-        if self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
-        _check_policy(self.policy)
-        if self.last_round is not None and self.last_round < self.first_round:
-            raise ConfigurationError(
-                f"last_round {self.last_round} precedes first_round {self.first_round}"
-            )
+        _check_window(self.first_round, self.last_round)
+        _check_period(self.period, "down_rounds", self.down_rounds)
+        check_at_least("count", self.count)
+        check_choice("policy", self.policy, SHRINK_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -162,13 +307,8 @@ class PoissonChurn:
             )
         if self.join_rate == 0.0 and self.leave_rate == 0.0:
             raise ConfigurationError("at least one of join_rate/leave_rate must be positive")
-        if self.first_round < 1:
-            raise ConfigurationError(f"first_round must be >= 1, got {self.first_round}")
-        if self.last_round is not None and self.last_round < self.first_round:
-            raise ConfigurationError(
-                f"last_round {self.last_round} precedes first_round {self.first_round}"
-            )
-        _check_policy(self.policy)
+        _check_window(self.first_round, self.last_round)
+        check_choice("policy", self.policy, SHRINK_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -184,29 +324,26 @@ class Ramp:
     policy: str = "rehash"
 
     def __post_init__(self) -> None:
-        if self.start_round < 1:
-            raise ConfigurationError(f"start_round must be >= 1, got {self.start_round}")
+        check_at_least("start_round", self.start_round)
         if self.end_round <= self.start_round:
             raise ConfigurationError(
                 f"end_round {self.end_round} must be > start_round {self.start_round}"
             )
-        if self.target_n < 1:
-            raise ConfigurationError(f"target_n must be >= 1, got {self.target_n}")
-        _check_policy(self.policy)
+        check_at_least("target_n", self.target_n)
+        check_choice("policy", self.policy, SHRINK_POLICIES)
 
 
-ChurnEvent = Union[JoinBurst, LeaveBurst, Flapping, PoissonChurn, Ramp]
-
-_EVENT_TYPES = (JoinBurst, LeaveBurst, Flapping, PoissonChurn, Ramp)
+FAULT_EVENTS = (CrashBurst, PeriodicOutage, StochasticCrashes, CapacityDegradation, PoolShed)
+CHURN_EVENTS = (JoinBurst, LeaveBurst, Flapping, PoissonChurn, Ramp)
 
 
 @dataclass(frozen=True)
-class ChurnSchedule:
-    """An immutable list of churn events plus the injector seed and bounds.
+class Schedule:
+    """An immutable list of fault and churn events plus the seed and bounds.
 
-    ``min_n``/``max_n`` clamp every membership change (schedule-driven and
-    autoscaler-driven alike use their own bounds): a leave event that would
-    push n below ``min_n`` is truncated, a join above ``max_n`` likewise.
+    ``min_n``/``max_n`` clamp every membership change the schedule makes:
+    a leave that would push n below ``min_n`` is truncated, a join above
+    ``max_n`` likewise.
     """
 
     events: tuple = field(default_factory=tuple)
@@ -217,13 +354,10 @@ class ChurnSchedule:
     def __post_init__(self) -> None:
         events = tuple(self.events)
         for event in events:
-            if not isinstance(event, _EVENT_TYPES):
-                raise ConfigurationError(f"unknown churn event type: {type(event).__name__}")
+            if not isinstance(event, FAULT_EVENTS + CHURN_EVENTS):
+                raise ConfigurationError(f"unknown event type: {type(event).__name__}")
         object.__setattr__(self, "events", events)
-        if self.min_n < 1:
-            raise ConfigurationError(f"min_n must be >= 1, got {self.min_n}")
-        if self.max_n is not None and self.max_n < self.min_n:
-            raise ConfigurationError(f"max_n {self.max_n} below min_n {self.min_n}")
+        check_bounds(self.min_n, self.max_n)
 
     def __bool__(self) -> bool:
         return bool(self.events)

@@ -40,6 +40,7 @@ import json
 import os
 import signal
 import time
+from dataclasses import asdict, dataclass
 
 from repro.errors import ChaosInjected, ConfigurationError
 
@@ -50,6 +51,7 @@ CHAOS_ENV = "REPRO_CHAOS"
 _ACTIONS = ("fail", "hang", "crash", "kill")
 
 
+@dataclass(frozen=True)
 class ChaosSpec:
     """Parsed chaos configuration (see module docstring for semantics).
 
@@ -61,48 +63,32 @@ class ChaosSpec:
     task-boundary hook :func:`maybe_chaos`.
     """
 
-    __slots__ = ("action", "match", "times", "seconds", "marker_dir", "at_round")
+    action: str
+    match: str = ""
+    times: int = 1
+    seconds: float = 3600.0
+    marker_dir: str | None = None
+    at_round: int | None = None
 
-    def __init__(
-        self,
-        action: str,
-        match: str = "",
-        times: int = 1,
-        seconds: float = 3600.0,
-        marker_dir: str | None = None,
-        at_round: int | None = None,
-    ) -> None:
+    def __post_init__(self) -> None:
+        action = self.action
         if action not in _ACTIONS:
             raise ConfigurationError(f"chaos action must be one of {_ACTIONS}, got {action!r}")
-        if times < 1:
-            raise ConfigurationError(f"chaos times must be >= 1, got {times}")
-        if seconds <= 0:
-            raise ConfigurationError(f"chaos seconds must be positive, got {seconds}")
-        if action in ("crash", "kill") and marker_dir is None:
+        if self.times < 1:
+            raise ConfigurationError(f"chaos times must be >= 1, got {self.times}")
+        if self.seconds <= 0:
+            raise ConfigurationError(f"chaos seconds must be positive, got {self.seconds}")
+        if action in ("crash", "kill") and self.marker_dir is None:
             raise ConfigurationError(
                 f"chaos action {action!r} requires marker_dir: without cross-process "
                 "injection counting a retried task would die forever"
             )
-        if at_round is not None and at_round < 1:
-            raise ConfigurationError(f"chaos at_round must be >= 1, got {at_round}")
-        self.action = action
-        self.match = match
-        self.times = times
-        self.seconds = seconds
-        self.marker_dir = marker_dir
-        self.at_round = at_round
+        if self.at_round is not None and self.at_round < 1:
+            raise ConfigurationError(f"chaos at_round must be >= 1, got {self.at_round}")
 
     def to_env(self) -> str:
         """Serialize for the ``REPRO_CHAOS`` environment variable."""
-        payload = {
-            "action": self.action,
-            "match": self.match,
-            "times": self.times,
-            "seconds": self.seconds,
-            "marker_dir": self.marker_dir,
-            "at_round": self.at_round,
-        }
-        return json.dumps(payload)
+        return json.dumps(asdict(self))
 
 
 def chaos_from_env(environ=None) -> ChaosSpec | None:

@@ -37,6 +37,7 @@ __all__ = [
     "measure_recovery",
     "measure_post_churn_recovery",
     "per_round_p99",
+    "record_p99",
 ]
 
 
@@ -169,16 +170,20 @@ def measure_recovery(
         rel_floor=rel_floor,
         abs_floor=abs_floor,
     )
+    return _report(series, band, fault_index, fault_end_index, sustain)
+
+
+def _report(series, band, fault_index: int, fault_end_index: int, sustain: int) -> RecoveryReport:
+    """Peak after ``fault_index`` and sustained return to ``band`` after ``fault_end_index``."""
     scan = series[fault_index:]
     peak_offset = int(np.argmax(np.abs(scan - band.mean)))
-    recovery = time_to_return(series, band, start=fault_end_index, sustain=sustain)
     return RecoveryReport(
         band=band,
         fault_index=fault_index,
         fault_end_index=fault_end_index,
         peak_value=float(scan[peak_offset]),
         peak_index=fault_index + peak_offset,
-        recovery_index=recovery,
+        recovery_index=time_to_return(series, band, start=fault_end_index, sustain=sustain),
     )
 
 
@@ -220,23 +225,24 @@ def measure_post_churn_recovery(
         rel_floor=rel_floor,
         abs_floor=abs_floor,
     )
-    scan = series[churn_index:]
-    peak_offset = int(np.argmax(np.abs(scan - band.mean)))
-    recovery = time_to_return(series, band, start=churn_index, sustain=sustain)
-    return RecoveryReport(
-        band=band,
-        fault_index=churn_index,
-        fault_end_index=churn_index,
-        peak_value=float(scan[peak_offset]),
-        peak_index=churn_index + peak_offset,
-        recovery_index=recovery,
-    )
+    return _report(series, band, churn_index, churn_index, sustain)
+
+
+def record_p99(record) -> float | None:
+    """p99 waiting time of one RoundRecord's sparse ``(wait_values,
+    wait_counts)`` histogram; None when the round finalized no waits."""
+    total = int(np.sum(record.wait_counts)) if len(record.wait_counts) else 0
+    if not total:
+        return None
+    cumulative = np.cumsum(record.wait_counts)
+    rank = int(np.searchsorted(cumulative, np.ceil(0.99 * total)))
+    rank = min(rank, len(record.wait_values) - 1)
+    return float(record.wait_values[rank])
 
 
 def per_round_p99(records) -> np.ndarray:
     """Per-round p99 waiting time from a sequence of RoundRecords.
 
-    Uses each record's sparse ``(wait_values, wait_counts)`` histogram.
     Rounds with no finalized waits carry the previous round's value forward
     (0.0 before the first observation) so the series stays aligned with the
     pool-size series.
@@ -244,11 +250,8 @@ def per_round_p99(records) -> np.ndarray:
     out = np.zeros(len(records), dtype=float)
     last = 0.0
     for i, record in enumerate(records):
-        total = int(np.sum(record.wait_counts)) if len(record.wait_counts) else 0
-        if total:
-            cumulative = np.cumsum(record.wait_counts)
-            rank = int(np.searchsorted(cumulative, np.ceil(0.99 * total)))
-            rank = min(rank, len(record.wait_values) - 1)
-            last = float(record.wait_values[rank])
+        p99 = record_p99(record)
+        if p99 is not None:
+            last = p99
         out[i] = last
     return out

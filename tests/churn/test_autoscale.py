@@ -1,9 +1,11 @@
 """Tests for the occupancy/wait-driven autoscaler."""
 
+import numpy as np
 import pytest
 
-from repro.churn import Autoscaler, AutoscalingPolicy
+from repro.churn import Autoscaler, AutoscalingPolicy, scenario_from_dict
 from repro.core.capped import CappedProcess
+from repro.engine.driver import SimulationDriver
 from repro.errors import ConfigurationError
 from repro.processes.greedy import GreedyBatchProcess
 
@@ -142,6 +144,40 @@ class TestUtilizationController:
         scaler.on_round(a.step(), a)
         with pytest.raises(ConfigurationError):
             scaler.on_round(b.step(), b)
+
+
+    def test_scale_out_mid_degradation_returns_to_nominal_capacity(self):
+        # The scale-out at round 4 lands while every bin runs at capacity 1;
+        # the injector hears of it and lifts the 8 new bins back to 3 when
+        # the degradation window closes.
+        scenario = scenario_from_dict(
+            {
+                "faults": {
+                    "seed": 1,
+                    "events": [
+                        {
+                            "type": "capacity_degradation",
+                            "at_round": 2,
+                            "duration": 10,
+                            "capacity": 1,
+                        }
+                    ],
+                },
+                "autoscaling": {
+                    "controller": "utilization",
+                    "target": 0.01,
+                    "window": 2,
+                    "check_every": 4,
+                    "cooldown": 100,
+                    "max_step": 8,
+                },
+            }
+        )
+        process = CappedProcess(n=32, capacity=3, lam=0.75, rng=1)
+        observers = scenario.build_observers()
+        SimulationDriver(burn_in=0, measure=20, observers=observers).run(process)
+        assert observers[1].scale_outs == 1
+        assert np.asarray(process.bins.capacity).tolist() == [3] * 40
 
 
 class TestP99Controller:

@@ -1,4 +1,4 @@
-"""Behavioural tests for :class:`repro.churn.ChurnInjector`.
+"""Churn-event behaviour of :class:`repro.churn.Injector`.
 
 The invariants under test: membership changes land at the scheduled round,
 re-hashing conserves balls, drain removal is two-stage and loss-free, all
@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from repro.churn import (
-    ChurnInjector,
-    ChurnSchedule,
     Flapping,
+    Injector,
     JoinBurst,
     LeaveBurst,
     PoissonChurn,
     Ramp,
+    Schedule,
     removal_mapping,
 )
 from repro.core.capped import CappedProcess
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointIncompatible, ConfigurationError
 from repro.processes.greedy import GreedyBatchProcess
 
 from tests.kernels.test_fused_equivalence import assert_records_equal
@@ -53,9 +53,7 @@ class TestRemovalMapping:
 class TestJoinBurst:
     def test_membership_grows_at_scheduled_round(self):
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=1)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(JoinBurst(at_round=3, count=8),), seed=5)
-        )
+        injector = Injector(Schedule(events=(JoinBurst(at_round=3, count=8),), seed=5))
         run_with_churn(process, injector, 2)
         assert process.n == 32
         run_with_churn(process, injector, 1)
@@ -65,9 +63,7 @@ class TestJoinBurst:
 
     def test_max_n_clamps_joins(self):
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=1)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(JoinBurst(at_round=2, count=100),), seed=5, max_n=36)
-        )
+        injector = Injector(Schedule(events=(JoinBurst(at_round=2, count=100),), seed=5, max_n=36))
         run_with_churn(process, injector, 3)
         assert process.n == 36
 
@@ -75,9 +71,7 @@ class TestJoinBurst:
 class TestLeaveBurst:
     def test_rehash_conserves_balls(self):
         process = CappedProcess(n=32, capacity=2, lam=0.75, rng=2)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(LeaveBurst(at_round=6, count=8),), seed=9)
-        )
+        injector = Injector(Schedule(events=(LeaveBurst(at_round=6, count=8),), seed=9))
         for _ in range(5):
             record = process.step()
             injector.on_round(record, process)
@@ -92,8 +86,8 @@ class TestLeaveBurst:
 
     def test_drop_discards_queued_balls(self):
         process = CappedProcess(n=32, capacity=2, lam=0.75, rng=2)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(LeaveBurst(at_round=6, fraction=0.25, policy="drop"),), seed=9)
+        injector = Injector(
+            Schedule(events=(LeaveBurst(at_round=6, fraction=0.25, policy="drop"),), seed=9)
         )
         for _ in range(5):
             record = process.step()
@@ -108,8 +102,8 @@ class TestLeaveBurst:
 
     def test_min_n_truncates_leaves(self):
         process = CappedProcess(n=16, capacity=2, lam=0.5, rng=3)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(LeaveBurst(at_round=2, fraction=1.0),), seed=1, min_n=4)
+        injector = Injector(
+            Schedule(events=(LeaveBurst(at_round=2, fraction=1.0),), seed=1, min_n=4)
         )
         run_with_churn(process, injector, 4)
         assert process.n == 4
@@ -117,8 +111,8 @@ class TestLeaveBurst:
 
     def test_drain_is_two_stage_and_lossless(self):
         process = CappedProcess(n=32, capacity=3, lam=0.9375, rng=4)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(LeaveBurst(at_round=8, count=6, policy="drain"),), seed=2)
+        injector = Injector(
+            Schedule(events=(LeaveBurst(at_round=8, count=6, policy="drain"),), seed=2)
         )
         totals = []
         for t in range(1, 16):
@@ -142,8 +136,8 @@ class TestLeaveBurst:
         # Two overlapping drain bursts: the second must pick victims from
         # live bins only, and both drain groups are eventually removed.
         process = CappedProcess(n=32, capacity=3, lam=0.9375, rng=4)
-        injector = ChurnInjector(
-            ChurnSchedule(
+        injector = Injector(
+            Schedule(
                 events=(
                     LeaveBurst(at_round=5, count=4, policy="drain"),
                     LeaveBurst(at_round=6, count=4, policy="drain"),
@@ -160,8 +154,8 @@ class TestLeaveBurst:
 class TestTimeVaryingEvents:
     def test_flapping_oscillates_and_returns(self):
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=5)
-        injector = ChurnInjector(
-            ChurnSchedule(
+        injector = Injector(
+            Schedule(
                 events=(Flapping(first_round=4, period=10, down_rounds=3, count=2, last_round=5),),
                 seed=7,
             )
@@ -178,8 +172,8 @@ class TestTimeVaryingEvents:
 
     def test_ramp_reaches_target(self):
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=6)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(Ramp(start_round=2, end_round=10, target_n=56),), seed=3)
+        injector = Injector(
+            Schedule(events=(Ramp(start_round=2, end_round=10, target_n=56),), seed=3)
         )
         run_with_churn(process, injector, 12)
         assert process.n == 56
@@ -187,8 +181,8 @@ class TestTimeVaryingEvents:
 
     def test_ramp_down(self):
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=6)
-        injector = ChurnInjector(
-            ChurnSchedule(events=(Ramp(start_round=2, end_round=10, target_n=16),), seed=3)
+        injector = Injector(
+            Schedule(events=(Ramp(start_round=2, end_round=10, target_n=16),), seed=3)
         )
         run_with_churn(process, injector, 12)
         assert process.n == 16
@@ -196,8 +190,8 @@ class TestTimeVaryingEvents:
 
     def test_poisson_churn_respects_bounds(self):
         process = CappedProcess(n=16, capacity=2, lam=0.5, rng=7)
-        injector = ChurnInjector(
-            ChurnSchedule(
+        injector = Injector(
+            Schedule(
                 events=(PoissonChurn(join_rate=3.0, leave_rate=3.0),),
                 seed=11,
                 min_n=12,
@@ -214,10 +208,8 @@ class TestTimeVaryingEvents:
 class TestDeterminism:
     def _trajectory(self, seed):
         process = CappedProcess(n=32, capacity=2, lam=0.75, rng=1)
-        injector = ChurnInjector(
-            ChurnSchedule(
-                events=(PoissonChurn(join_rate=1.0, leave_rate=1.0),), seed=seed, min_n=8
-            )
+        injector = Injector(
+            Schedule(events=(PoissonChurn(join_rate=1.0, leave_rate=1.0),), seed=seed, min_n=8)
         )
         sizes = []
         for _ in range(30):
@@ -234,8 +226,8 @@ class TestDeterminism:
         # draws (join/leave counts) must not depend on the process RNG.
         def counts(process_seed):
             process = CappedProcess(n=64, capacity=2, lam=0.5, rng=process_seed)
-            injector = ChurnInjector(
-                ChurnSchedule(events=(PoissonChurn(join_rate=2.0, leave_rate=0.0),), seed=13)
+            injector = Injector(
+                Schedule(events=(PoissonChurn(join_rate=2.0, leave_rate=0.0),), seed=13)
             )
             run_with_churn(process, injector, 10)
             return injector.joins
@@ -245,7 +237,7 @@ class TestDeterminism:
     def test_empty_schedule_is_bit_identical_noop(self):
         plain = CappedProcess(n=32, capacity=2, lam=0.75, rng=9)
         churned = CappedProcess(n=32, capacity=2, lam=0.75, rng=9)
-        injector = ChurnInjector(ChurnSchedule())
+        injector = Injector(Schedule())
         for _ in range(40):
             a = plain.step()
             b = churned.step()
@@ -257,7 +249,7 @@ class TestDeterminism:
 
 class TestStateRoundTrip:
     def test_mid_run_snapshot_resumes_identically(self):
-        schedule = ChurnSchedule(
+        schedule = Schedule(
             events=(
                 JoinBurst(at_round=4, count=8),
                 LeaveBurst(at_round=9, count=6, policy="drain"),
@@ -268,7 +260,7 @@ class TestStateRoundTrip:
         )
 
         process = CappedProcess(n=32, capacity=2, lam=0.75, rng=8)
-        injector = ChurnInjector(schedule)
+        injector = Injector(schedule)
         run_with_churn(process, injector, 10)  # past the resize, drains pending
         proc_state = process.get_state()
         inj_state = injector.get_state()
@@ -279,7 +271,7 @@ class TestStateRoundTrip:
 
         restored = CappedProcess(n=32, capacity=2, lam=0.75, rng=0)
         restored.set_state(proc_state)
-        injector2 = ChurnInjector(schedule)
+        injector2 = Injector(schedule)
         injector2.set_state(inj_state)
         replay = [
             (r.round, r.pool_size, r.total_load, restored.n)
@@ -288,8 +280,8 @@ class TestStateRoundTrip:
         assert replay == reference
 
     def test_set_state_rejects_garbage(self):
-        injector = ChurnInjector(ChurnSchedule())
-        with pytest.raises((KeyError, TypeError, ConfigurationError)):
+        injector = Injector(Schedule())
+        with pytest.raises(CheckpointIncompatible):
             injector.set_state({"bogus": 1})
 
 
@@ -297,7 +289,7 @@ class TestBinding:
     def test_rejects_process_without_membership_surface(self):
         # GREEDY has no grow_bins/shrink_bins, so there is nothing to churn.
         process = GreedyBatchProcess(n=16, d=2, lam=0.75, rng=0)
-        injector = ChurnInjector(ChurnSchedule(events=(JoinBurst(at_round=1, count=4),)))
+        injector = Injector(Schedule(events=(JoinBurst(at_round=1, count=4),)))
         with pytest.raises(ConfigurationError, match="grow_bins/shrink_bins"):
             injector.on_round(process.step(), process)
         assert process.n == 16

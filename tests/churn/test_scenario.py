@@ -6,18 +6,17 @@ from repro.churn import (
     Autoscaler,
     AutoscalingPolicy,
     ChaosScenario,
-    ChurnInjector,
-    ChurnSchedule,
+    CrashBurst,
+    Injector,
     JoinBurst,
     LeaveBurst,
+    Schedule,
     scenario_from_dict,
     scenario_from_json,
 )
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.errors import ConfigurationError
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import CrashBurst, FaultSchedule
 
 
 class TestParsing:
@@ -113,37 +112,37 @@ class TestScenario:
 
     def test_rejects_wrong_part_types(self):
         with pytest.raises(ConfigurationError):
-            ChaosScenario(faults=ChurnSchedule())
+            ChaosScenario(faults={"events": []})
         with pytest.raises(ConfigurationError):
-            ChaosScenario(churn=FaultSchedule())
+            ChaosScenario(churn=[JoinBurst(at_round=3, count=4)])
         with pytest.raises(ConfigurationError):
             ChaosScenario(autoscaling={"target": 0.5})
 
     def test_build_observers_order_and_types(self):
         scenario = ChaosScenario(
-            faults=FaultSchedule(events=(CrashBurst(at_round=5, fraction=0.1, duration=3),)),
-            churn=ChurnSchedule(events=(JoinBurst(at_round=3, count=4),)),
+            faults=Schedule(events=(CrashBurst(at_round=5, fraction=0.1, duration=3),)),
+            churn=Schedule(events=(JoinBurst(at_round=3, count=4),)),
             autoscaling=AutoscalingPolicy(),
         )
         observers = scenario.build_observers()
-        assert [type(o) for o in observers] == [ChurnInjector, FaultInjector, Autoscaler]
+        assert [type(o) for o in observers] == [Injector, Autoscaler]
 
     def test_build_observers_skips_absent_parts(self):
         observers = ChaosScenario(
-            churn=ChurnSchedule(events=(JoinBurst(at_round=3, count=4),))
+            churn=Schedule(events=(JoinBurst(at_round=3, count=4),))
         ).build_observers()
-        assert [type(o) for o in observers] == [ChurnInjector]
+        assert [type(o) for o in observers] == [Injector]
         assert ChaosScenario().build_observers() == []
 
     def test_builds_fresh_observers_each_call(self):
-        scenario = ChaosScenario(churn=ChurnSchedule(events=(JoinBurst(at_round=3, count=4),)))
+        scenario = ChaosScenario(churn=Schedule(events=(JoinBurst(at_round=3, count=4),)))
         a = scenario.build_observers()
         b = scenario.build_observers()
         assert a[0] is not b[0]
 
     def test_remap_cross_wiring(self):
-        # A churn shrink must remap the fault injector's down-map so a
-        # crashed bin keeps being tracked under its compacted index.
+        # A churn shrink must remap the injector's down-map so a crashed
+        # bin keeps being tracked under its compacted index.
         scenario = scenario_from_dict(
             {
                 "faults": {
@@ -162,7 +161,7 @@ class TestScenario:
         )
         process = CappedProcess(n=32, capacity=2, lam=0.5, rng=6)
         observers = scenario.build_observers()
-        fault_injector = observers[1]
+        (injector,) = observers
         for _ in range(10):
             record = process.step()
             for observer in observers:
@@ -172,7 +171,7 @@ class TestScenario:
         # and the fault injector's bookkeeping agrees with the bin mask.
         down = process.bins.down
         assert down.shape[0] == 16
-        assert fault_injector.down_count == int(down.sum())
+        assert injector.down_count == int(down.sum())
         process.check_invariants()
 
 

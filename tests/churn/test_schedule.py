@@ -3,12 +3,12 @@
 import pytest
 
 from repro.churn import (
-    ChurnSchedule,
     Flapping,
     JoinBurst,
     LeaveBurst,
     PoissonChurn,
     Ramp,
+    Schedule,
 )
 from repro.errors import ConfigurationError
 
@@ -100,19 +100,19 @@ class TestRamp:
 
 class TestChurnSchedule:
     def test_empty_schedule_is_falsy(self):
-        assert not ChurnSchedule()
-        assert ChurnSchedule(events=(JoinBurst(at_round=1, count=1),))
+        assert not Schedule()
+        assert Schedule(events=(JoinBurst(at_round=1, count=1),))
 
     def test_rejects_foreign_event_types(self):
         with pytest.raises(ConfigurationError):
-            ChurnSchedule(events=("join",))
+            Schedule(events=("join",))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigurationError):
-            ChurnSchedule(min_n=0)
+            Schedule(min_n=0)
         with pytest.raises(ConfigurationError):
-            ChurnSchedule(min_n=10, max_n=5)
+            Schedule(min_n=10, max_n=5)
 
     def test_events_normalised_to_tuple(self):
-        schedule = ChurnSchedule(events=[JoinBurst(at_round=1, count=1)])
+        schedule = Schedule(events=[JoinBurst(at_round=1, count=1)])
         assert isinstance(schedule.events, tuple)

@@ -9,12 +9,11 @@ is bit-identical to an uninterrupted run.
 import pytest
 
 from repro.checkpoint import CheckpointStore
+from repro.churn import CapacityDegradation, Injector, Schedule, StochasticCrashes
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import TraceRecorder
 from repro.errors import CheckpointIncompatible, ConfigurationError
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import CapacityDegradation, FaultSchedule, StochasticCrashes
 from repro.processes.capped_dchoice import CappedDChoiceProcess
 
 
@@ -149,7 +148,7 @@ class TestDChoiceKillResume:
 
 class TestFaultScheduleKillResume:
     def test_bit_identical_through_active_faults(self, tmp_path):
-        schedule = FaultSchedule(
+        schedule = Schedule(
             events=(
                 StochasticCrashes(crash_prob=0.02, recover_prob=0.3, first_round=1),
                 CapacityDegradation(at_round=20, duration=12, capacity=1, fraction=0.5),
@@ -159,7 +158,7 @@ class TestFaultScheduleKillResume:
 
         def make():
             process = CappedProcess(n=64, capacity=4, lam=0.75, rng=13)
-            injector = FaultInjector(schedule)
+            injector = Injector(schedule)
             return process, injector
 
         process, injector = make()

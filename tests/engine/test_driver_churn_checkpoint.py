@@ -7,12 +7,18 @@ runs: a kill at any round — including rounds bracketing a membership resize
 process.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.checkpoint import CheckpointStore
 from repro.churn import scenario_from_dict
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import TraceRecorder
+from repro.errors import CheckpointIncompatible
 
 
 class KillAt:
@@ -148,7 +154,7 @@ def test_observer_counters_restored(tmp_path):
     SimulationDriver(burn_in=BURN_IN, measure=MEASURE, observers=ref_observers).run(
         make_process()
     )
-    ref_churn, ref_faults, ref_scaler = ref_observers
+    ref_injector, ref_scaler = ref_observers
 
     observers = scenario.build_observers()
     with pytest.raises(KeyboardInterrupt):
@@ -168,14 +174,56 @@ def test_observer_counters_restored(tmp_path):
         checkpoint_dir=tmp_path,
         checkpoint_every=4,
     ).run(make_process())
-    churn, faults, scaler = observers
-    assert churn.joins == ref_churn.joins
-    assert churn.leaves == ref_churn.leaves
-    assert churn.balls_rehashed == ref_churn.balls_rehashed
-    assert churn.events_log == ref_churn.events_log
-    assert faults.crashes == ref_faults.crashes
+    injector, scaler = observers
+    assert injector.joins == ref_injector.joins
+    assert injector.leaves == ref_injector.leaves
+    assert injector.balls_rehashed == ref_injector.balls_rehashed
+    assert injector.events_log == ref_injector.events_log
+    assert injector.crashes == ref_injector.crashes
     assert (scaler.scale_outs, scaler.scale_ins, scaler.events_log) == (
         ref_scaler.scale_outs,
         ref_scaler.scale_ins,
         ref_scaler.events_log,
     )
+
+
+# sha256 of the reference run's records and final loads, computed while
+# fault and churn events still had one injector each: merging them into one
+# injector must not move the trajectory.
+PINNED_DIGEST = "4a7368ff8e23e25e6074e3670afac60d0455b4965bfcfd90d6602ed07629dd6f"
+
+
+def test_mixed_scenario_trajectory_is_pinned():
+    trace, process = run_reference()
+    payload = json.dumps([records_key(trace.records), process.bins.loads.tolist()])
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_DIGEST
+
+
+# Round-20 snapshots of SCENARIO (and of its faults + autoscaling part)
+# written when faults and churn had separate injectors: one observer state
+# each, with the old state keys (``rng``, ``requests_dropped``, ...).
+TWO_INJECTOR_SNAPSHOTS = json.loads(
+    Path(__file__).with_name("two_injector_snapshots.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    ("name", "parts", "match"),
+    [
+        (
+            "churn_faults_autoscale",
+            ("churn", "faults", "autoscaling", "autoscale_seed"),
+            "3 observer states for 2 observers",
+        ),
+        ("faults_autoscale", ("faults", "autoscaling", "autoscale_seed"), "injector state"),
+    ],
+)
+def test_two_injector_snapshot_is_incompatible(tmp_path, name, parts, match):
+    snapshot = TWO_INJECTOR_SNAPSHOTS[name]
+    CheckpointStore(tmp_path).save(snapshot["round"], snapshot["payload"])
+    observers = scenario_from_dict({part: SCENARIO[part] for part in parts}).build_observers()
+    driver = SimulationDriver(
+        burn_in=BURN_IN, measure=MEASURE, observers=observers, checkpoint_dir=tmp_path
+    )
+    with pytest.raises(CheckpointIncompatible, match=match):
+        driver.run(make_process())

@@ -1,16 +1,16 @@
-"""Validation semantics of the declarative fault schedules."""
+"""Validation semantics of the fault events of the declarative schedules."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.faults import (
+from repro.churn import (
     CapacityDegradation,
     CrashBurst,
-    FaultSchedule,
     PeriodicOutage,
-    RequestDrop,
+    PoolShed,
+    Schedule,
     StochasticCrashes,
 )
+from repro.errors import ConfigurationError
 
 
 class TestCrashBurst:
@@ -88,24 +88,24 @@ class TestCapacityDegradation:
             CapacityDegradation(**kwargs)
 
 
-class TestRequestDrop:
+class TestPoolShed:
     def test_valid(self):
-        RequestDrop(at_round=3, fraction=0.25)
+        PoolShed(at_round=3, fraction=0.25)
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigurationError):
-            RequestDrop(at_round=3, fraction=2.0)
+            PoolShed(at_round=3, fraction=2.0)
 
 
 class TestFaultSchedule:
     def test_empty_schedule_is_falsy(self):
-        assert not FaultSchedule()
-        assert FaultSchedule(events=(CrashBurst(at_round=1, fraction=0.5),))
+        assert not Schedule()
+        assert Schedule(events=(CrashBurst(at_round=1, fraction=0.5),))
 
     def test_events_coerced_to_tuple(self):
-        schedule = FaultSchedule(events=[RequestDrop(at_round=1, fraction=0.5)])
+        schedule = Schedule(events=[PoolShed(at_round=1, fraction=0.5)])
         assert isinstance(schedule.events, tuple)
 
     def test_rejects_unknown_event_type(self):
         with pytest.raises(ConfigurationError):
-            FaultSchedule(events=("not an event",))
+            Schedule(events=("not an event",))

@@ -21,17 +21,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.churn import (
+    CapacityDegradation,
+    CrashBurst,
+    Injector,
+    PeriodicOutage,
+    Schedule,
+)
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import TraceRecorder
 from repro.errors import ConfigurationError
-from repro.faults import (
-    CapacityDegradation,
-    CrashBurst,
-    FaultInjector,
-    FaultSchedule,
-    PeriodicOutage,
-)
 from repro.processes.capped_dchoice import CappedDChoiceProcess
 from repro.rng import RngFactory
 
@@ -163,9 +163,7 @@ class TestFusedUnderFaults:
             n=128, capacity=2, lam=0.9375, rng=11, initial_pool=40, kernel=kernel
         )
         trace = TraceRecorder()
-        driver = SimulationDriver(
-            burn_in=0, measure=120, observers=[trace, FaultInjector(schedule)]
-        )
+        driver = SimulationDriver(burn_in=0, measure=120, observers=[trace, Injector(schedule)])
         driver.run(process)
         process.check_invariants()
         return trace, process
@@ -174,7 +172,7 @@ class TestFusedUnderFaults:
         # Crashes zero a bin's free slots and freeze its queue; degradation
         # can leave bins *over* their shrunken capacity — both paths must
         # agree on acceptance and waits throughout.
-        schedule = FaultSchedule(
+        schedule = Schedule(
             events=(
                 CrashBurst(at_round=20, fraction=0.25, duration=30),
                 CapacityDegradation(at_round=55, duration=25, capacity=1, fraction=0.5),

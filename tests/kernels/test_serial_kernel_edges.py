@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.churn import CrashBurst, Injector, Schedule
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import TraceRecorder
-from repro.faults import CrashBurst, FaultInjector, FaultSchedule
 from repro.kernels.round import resolve_capped_round_serial
 
 from tests.kernels.test_fused_equivalence import assert_records_equal
@@ -150,14 +150,10 @@ class TestFleetWideOutage:
         # Crash every bin at once: the serial kernel is ineligible while
         # anything is down, so the fused process must fall back and still
         # match legacy exactly through the outage and the recovery.
-        schedule = FaultSchedule(
-            events=(CrashBurst(at_round=15, fraction=1.0, duration=20),), seed=3
-        )
+        schedule = Schedule(events=(CrashBurst(at_round=15, fraction=1.0, duration=20),), seed=3)
         process = CappedProcess(n=64, capacity=2, lam=0.9375, rng=9, initial_pool=30, kernel=kernel)
         trace = TraceRecorder()
-        SimulationDriver(
-            burn_in=0, measure=80, observers=[trace, FaultInjector(schedule)]
-        ).run(process)
+        SimulationDriver(burn_in=0, measure=80, observers=[trace, Injector(schedule)]).run(process)
         process.check_invariants()
         return trace, process
 
