@@ -242,17 +242,31 @@ class SimulationDriver:
             )
 
     def _restore(self, process: Any):
-        """Load the newest valid snapshot, apply it, return its payload."""
+        """Load the newest valid snapshot, apply it, return its payload.
+
+        All or nothing: if the process or an observer refuses its part,
+        everything already applied is put back before the error propagates,
+        so the caller's process and observers keep their previous states.
+        """
         restored = self._store.load_latest()
         if restored is None:
             self.last_restore = None
             return None
         payload = restored.payload
         self._check_restorable(payload, process)
-        process.set_state(payload["process"]["state"])
-        for observer, saved in zip(self.observers, payload["observers"]):
-            if saved is not None:
-                observer.set_state(saved)
+        previous = process.get_state()
+        previous_observers = self._observer_states()
+        try:
+            process.set_state(payload["process"]["state"])
+            for observer, saved in zip(self.observers, payload["observers"]):
+                if saved is not None:
+                    observer.set_state(saved)
+        except Exception:
+            process.set_state(previous)
+            for observer, saved in zip(self.observers, previous_observers):
+                if saved is not None:
+                    observer.set_state(saved)
+            raise
         self.last_restore = restored
         return payload
 
