@@ -126,7 +126,7 @@ class BinArray:
         # arrays it is a constant sentinel vector.
         self._free_dirty = False
         self._maybe_overcap = False
-        # Load histogram carried between serial-kernel rounds (see
+        # Load histogram carried between kernel rounds (see
         # cached_load_hist); any loads mutation outside commit_round
         # drops it.
         self._hist_cache = None
@@ -201,7 +201,7 @@ class BinArray:
 
         The returned array is an incrementally-maintained cache — **treat
         it as read-only**. On the fault-free path no recomputation or
-        allocation happens per call (the serial-kernel commit marks the
+        allocation happens per call (the round-kernel commit marks the
         cache dirty instead of refreshing it, so a consumer that never
         asks never pays); only while bins are down or draining is a masked
         copy returned.
@@ -248,36 +248,6 @@ class BinArray:
             self._peak_load = peak
         return accepted
 
-    def commit_accepted(self, accepted: np.ndarray, total: int | None = None) -> int:
-        """Commit per-bin accepted counts already clipped against free slots.
-
-        The fused kernel (:mod:`repro.kernels.round`) computes
-        ``min(requests, free)`` itself, so re-deriving it here as
-        :meth:`accept` does would repeat two O(n) passes per round. The
-        caller guarantees ``0 <= accepted <= free_slots()`` per bin (the
-        kernel's clip) and may pass the pre-computed ``total`` to skip
-        the summing pass — the kernel already knows it. ``accepted`` may
-        be boolean (the unit-take kernel's 0/1 counts);
-        :meth:`check_invariants` still verifies the resulting cache.
-        Returns the total committed.
-        """
-        if self.capacity is not None and self._free_dirty:
-            self._refresh_free()
-        self._hist_cache = None
-        self.loads += accepted
-        accepted_total = int(accepted.sum()) if total is None else total
-        if self.capacity is not None:
-            self._free -= accepted
-        self._total_accepted += accepted_total
-        self._total_load += accepted_total
-        # A scalar capacity the peak has already reached bounds every
-        # load, so the max pass can't find anything new.
-        if not (np.isscalar(self.capacity) and self._peak_load >= int(self.capacity)):
-            peak = int(self.loads.max()) if self.n else 0
-            if peak > self._peak_load:
-                self._peak_load = peak
-        return accepted_total
-
     def delete_one_each(self) -> int:
         """End-of-round FIFO deletion: every non-empty *up* bin deletes one ball.
 
@@ -306,50 +276,55 @@ class BinArray:
         self._total_load -= deleted
         return deleted
 
-    def serial_round_limit(self):
-        """Eligibility + parameters for the whole-round serial kernel.
+    @property
+    def frozen(self) -> np.ndarray | None:
+        """The down mask while any bin is down, else ``None``.
 
-        Returns ``(capacity_limit, hist_size)`` when this array can be
-        driven by :func:`repro.kernels.round.resolve_capped_round_serial`
-        — finite capacities, no down bins — or ``None`` when the caller
-        must take the general path (unbounded bins, frozen down bins, or
-        shared capacity 1 where the unit-take kernel is leaner).
-        ``capacity_limit`` is the per-bin load ceiling ``max(capacity,
-        load)``: a plain int for the common shared-capacity case (so the
-        kernel clips against a scalar), an array only after a capacity
-        degradation may have left bins over their cap, or while bins are
-        draining (their ceiling is clamped to the current load, so they
-        accept nothing but still serve).
+        Down bins are frozen in a round: the round kernels skip their
+        deletion, and :meth:`serial_round_limit` stops their acceptance.
         """
-        if self.capacity is None or self._any_down:
-            return None
-        if np.isscalar(self.capacity):
-            if self.capacity == 1:
-                return None
+        return self.down if self._any_down else None
+
+    def serial_round_limit(self, ball_keys: np.ndarray):
+        """Per-bin load ceiling and histogram width for the round kernels.
+
+        Returns ``(capacity_limit, hist_size)`` for
+        :func:`repro.kernels.round.resolve_capped_round_serial`, where
+        ``ball_keys`` are this round's thrown balls' bins. The ceiling is
+        ``max(capacity, load)``: a plain int for the common shared-capacity
+        case (so the kernel clips against a scalar), an array only after a
+        capacity degradation may have left bins over their cap, or while
+        bins are down or draining (their ceiling is clamped to the current
+        load, so they accept nothing). Unbounded bins get a ceiling no bin
+        can reach this round: the max load plus the largest number of
+        balls any one bin is asked to take.
+        """
+        if self.capacity is None:
+            requests = int(np.bincount(ball_keys).max()) if ball_keys.size else 0
+            limit = int(self.loads.max()) + requests
+            hist_size = limit + 1
+        elif np.isscalar(self.capacity):
             if self._maybe_overcap and self._peak_load > self.capacity:
                 limit = np.maximum(self.capacity, self.loads)
                 hist_size = self._peak_load + 1
-            elif not self._any_draining:
-                return int(self.capacity), int(self.capacity) + 1
             else:
-                limit = np.full(self.n, self.capacity, dtype=np.int64)
-                hist_size = int(self.capacity) + 1
+                limit = int(self.capacity)
+                hist_size = limit + 1
         elif self._maybe_overcap:
             limit = np.maximum(self.capacity, self.loads)
             hist_size = max(int(self.capacity.max()), self._peak_load) + 1
-        elif not self._any_draining:
-            return self.capacity, int(self.capacity.max()) + 1
         else:
-            limit = self.capacity.copy()
+            limit = self.capacity
             hist_size = int(self.capacity.max()) + 1
-        if self._any_draining:
-            limit[self.draining] = self.loads[self.draining]
+        if self._any_down or self._any_draining:
+            closed = self.down | self.draining
+            limit = np.where(closed, self.loads, limit)
         return limit, hist_size
 
     def commit_round(self, resolved) -> None:
         """Install a :class:`~repro.kernels.round.SerialRound` outcome.
 
-        The serial kernel owns its ``new_loads`` array (loads after
+        The round kernels own their ``new_loads`` array (loads after
         acceptance *and* the FIFO deletion), so committing is a reference
         swap plus counter updates — no O(n) pass. The free-slots cache is
         only marked dirty: :meth:`free_slots` recomputes on the next read,
@@ -481,8 +456,8 @@ class BinArray:
                 self.capacity = np.full(self.n, self.capacity, dtype=np.int64)
             self.capacity[indices] = values
         # A degradation may leave bins over their new (smaller) capacity;
-        # from here on the serial-kernel eligibility check must clip
-        # against max(capacity, load) rather than capacity alone.
+        # from here on the round ceiling must clip against
+        # max(capacity, load) rather than capacity alone.
         self._maybe_overcap = True
         # Update the high-water mark (unbounded never returns to bounded here).
         if self._capacity_high_water is not None:

@@ -15,13 +15,13 @@ Two implementations are provided:
 :class:`CappedProcess`
     The fast simulator. Balls of equal age are exchangeable, so the pool is
     an :class:`~repro.balls.pool.AgePool` of per-label counts. The default
-    ``fused`` kernel (:mod:`repro.kernels.round`) resolves all age buckets
-    in one composite bincount plus a cumulative clip — O(#thrown + n·#ages)
-    element work with no per-ball sorting and no Python loop; the
-    ``legacy`` kernel sweeps the buckets oldest-first, paying several full
-    O(n) passes *per bucket*, and is kept as the executable reference (the
-    two are bit-exact,
-    including RNG consumption — see ``docs/kernels.md``). Waiting times use
+    ``fused`` kernel makes one call per round to a whole-round kernel
+    (:mod:`repro.kernels.round`) that resolves acceptance for all age
+    buckets and the FIFO deletion together, with no per-ball sorting and
+    no Python loop over bins; the ``legacy`` kernel sweeps the buckets
+    oldest-first, paying several full O(n) passes *per bucket*, and is kept
+    as the executable reference (the two are bit-exact, including RNG
+    consumption — see ``docs/kernels.md``). Waiting times use
     the position identity (see :mod:`repro.balls.bin_array`): a ball
     accepted at queue position ``p`` in round ``t`` is deleted at end of
     round ``t+p``, so its waiting time ``(t − label) + p`` is recorded at
@@ -53,6 +53,7 @@ from repro.engine.metrics import RoundRecord
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.kernels.round import positional_waits as _positional_waits
 from repro.kernels.round import (
+    SerialRound,
     resolve_capped_round,
     resolve_capped_round_serial,
     wait_histogram as _wait_histogram,
@@ -104,10 +105,11 @@ class CappedProcess:
         starves old balls, blowing up the waiting-time tail. The
         ``ablation_aging`` experiment quantifies this.
     kernel:
-        ``"fused"`` (default) resolves all age buckets in one counting
-        pass; ``"legacy"`` is the original per-bucket sweep, kept as the
-        executable reference. Both consume the RNG identically and emit
-        identical :class:`RoundRecord` sequences for the same seed.
+        ``"fused"`` (default) resolves each round, deletion included, in
+        one whole-round kernel call; ``"legacy"`` is the original
+        per-bucket sweep, kept as the executable reference. Both consume
+        the RNG identically and emit identical :class:`RoundRecord`
+        sequences for the same seed.
 
     Examples
     --------
@@ -306,19 +308,17 @@ class CappedProcess:
             )
 
         if self.kernel == "fused":
-            accepted_total, wait_values, wait_counts, deleted, max_load = self._resolve_fused(
-                t, thrown, choices, clock
-            )
+            resolved = self._resolve_fused(t, thrown, choices, clock)
+            if clock is not None:
+                clock.lap("accept")
+            accepted_total, deleted = resolved.accepted_total, resolved.deleted
+            max_load = resolved.max_load
+            wait_values, wait_counts = resolved.wait_values, resolved.wait_counts
         else:
             accepted_total, waits = self._resolve_legacy(t, choices, clock)
             wait_values, wait_counts = _wait_histogram(waits)
-            deleted = max_load = None
-        if clock is not None:
-            clock.lap("accept")
-
-        if deleted is None:
-            # Non-serial paths leave the FIFO deletion and the max-load
-            # scan to the generic BinArray operations.
+            if clock is not None:
+                clock.lap("accept")
             deleted = self.bins.delete_one_each()
             max_load = int(self.bins.loads.max())
         if clock is not None:
@@ -401,19 +401,14 @@ class CappedProcess:
         thrown: int,
         choices: np.ndarray | None,
         clock: PhaseClock | None = None,
-    ) -> tuple[int, np.ndarray, np.ndarray, int | None, int | None]:
-        """One-pass acceptance for all age buckets (see repro.kernels.round).
+    ) -> SerialRound:
+        """One whole round in one kernel call (see repro.kernels.round).
 
-        Returns ``(accepted_total, wait_values, wait_counts, deleted,
-        max_load)``. The wait *histogram* is returned, not per-ball waits:
-        the kernels produce the histogram directly without ever expanding
-        per-ball arrays. On the serial whole-round path — fault-free runs
-        with finite ``c >= 2`` — the FIFO deletion is fused into the
-        kernel and ``deleted``/``max_load`` come back filled; the other
-        paths return ``None`` for both and the caller runs
-        :meth:`BinArray.delete_one_each`. ``clock`` (telemetry only) marks
-        the throw phase once the bin choices exist; the caller closes the
-        accept phase.
+        Acceptance for all age buckets and the FIFO deletion are resolved
+        together and installed by :meth:`BinArray.commit_round`; the
+        returned :class:`SerialRound` carries the wait *histogram*, never
+        per-ball waits. ``clock`` (telemetry only) marks the throw phase
+        once the bin choices exist; the caller closes the accept phase.
         """
         if choices is None:
             choices = self._draw_choices(thrown)
@@ -422,72 +417,42 @@ class CappedProcess:
         if clock is not None:
             clock.lap("throw")
 
-        serial = self.bins.serial_round_limit() if thrown else None
-        if serial is not None:
-            # Whole-round serial path: all per-bucket bookkeeping is
-            # scalar, so hand the pool's plain-int lists straight to the
-            # kernel — no label/count arrays are ever built.
-            capacity_limit, hist_size = serial
-            acc_counts = self.pool.counts()
-            acc_ages = [t - label for label in self.pool.labels()]
-            reversed_priority = self.acceptance_order == "youngest" and len(acc_counts) > 1
-            if reversed_priority:
-                chunks = np.split(choices, np.cumsum(acc_counts)[:-1])
-                choices = np.concatenate(chunks[::-1])
-                acc_counts.reverse()
-                acc_ages.reverse()
-            resolved = resolve_capped_round_serial(
-                self.bins.loads,
-                capacity_limit,
-                choices,
-                acc_counts,
-                acc_ages,
-                hist_size,
-                initial_hist=self.bins.cached_load_hist(hist_size),
-            )
-            if resolved.accepted_total:
-                accepted_per_bucket = resolved.accepted_per_bucket
-                if reversed_priority:
-                    accepted_per_bucket = accepted_per_bucket[::-1]
-                self.pool.remove_bulk(accepted_per_bucket)
-            self.bins.commit_round(resolved)
-            return (
-                resolved.accepted_total,
-                resolved.wait_values,
-                resolved.wait_counts,
-                resolved.deleted,
-                resolved.max_load,
-            )
-
-        # Choices arrive oldest-first (the coupling and test convention),
-        # which is already the kernel's priority-major layout; only the
-        # youngest-first ablation has to reorder its bucket chunks.
-        labels, counts = self.pool.as_arrays()
-        reversed_priority = self.acceptance_order == "youngest" and len(labels) > 1
+        # All per-bucket bookkeeping is scalar, so the pool's plain-int
+        # lists go straight to the kernel. Choices arrive oldest-first
+        # (the coupling and test convention), which is already the
+        # kernel's priority-major layout; only the youngest-first ablation
+        # has to reorder its bucket chunks.
+        counts = self.pool.counts()
+        ages = [t - label for label in self.pool.labels()]
+        reversed_priority = self.acceptance_order == "youngest" and len(counts) > 1
         if reversed_priority:
             chunks = np.split(choices, np.cumsum(counts)[:-1])
-            acc_choices = np.concatenate(chunks[::-1])
-            acc_counts = counts[::-1]
-            acc_ages = (t - labels)[::-1]
+            choices = np.concatenate(chunks[::-1])
+            counts.reverse()
+            ages.reverse()
+        bins = self.bins
+        capacity_limit, hist_size = bins.serial_round_limit(choices)
+        if bins.total_load == 0 and np.isscalar(capacity_limit) and capacity_limit == 1:
+            # The homogeneous c = 1 steady state: every bin is empty.
+            resolved = resolve_capped_round(bins.loads, capacity_limit, choices, counts, ages)
         else:
-            acc_choices = choices
-            acc_counts = counts
-            acc_ages = t - labels
-
-        resolved = resolve_capped_round(
-            self.bins.free_slots(),
-            self.bins.loads,
-            acc_choices,
-            acc_counts,
-            acc_ages,
-        )
+            resolved = resolve_capped_round_serial(
+                bins.loads,
+                capacity_limit,
+                choices,
+                counts,
+                ages,
+                hist_size,
+                initial_hist=bins.cached_load_hist(hist_size),
+                frozen=bins.frozen,
+            )
         if resolved.accepted_total:
             accepted_per_bucket = resolved.accepted_per_bucket
             if reversed_priority:
                 accepted_per_bucket = accepted_per_bucket[::-1]
-            self.bins.commit_accepted(resolved.accepted_per_key, resolved.accepted_total)
             self.pool.remove_bulk(accepted_per_bucket)
-        return resolved.accepted_total, *resolved.wait_hist, None, None
+        bins.commit_round(resolved)
+        return resolved
 
     def _resolve_legacy(
         self,

@@ -1,21 +1,20 @@
 """Vectorised round kernels shared by the fast simulators.
 
 :mod:`repro.kernels.round`
-    The fused single-pass CAPPED acceptance kernel: one composite
-    ``bincount`` into a (key, age-bucket) request matrix plus a cumulative
-    clip replaces the legacy per-age-bucket ``bincount`` + ``free_slots``
-    + ``accept`` sweep — O(#thrown + n·#ages) element work with no
-    per-ball sorting and no Python loop over buckets — and the
-    whole-round serial kernel that fuses acceptance with the FIFO
-    deletion for finite capacities.
+    Two whole-round CAPPED kernels that resolve acceptance for all age
+    buckets *and* the FIFO deletion in one call, replacing the legacy
+    per-age-bucket ``bincount`` + ``free_slots`` + ``accept`` sweep and
+    its separate deletion pass: the serial kernel, which clips evolving
+    loads against a per-bin ceiling and reads everything else off the
+    load histogram, and the unit-take kernel for the c = 1 steady state.
+    Both return a ``SerialRound``, installed by ``BinArray.commit_round``.
 
-See ``docs/kernels.md`` for the cumulative-clip acceptance argument and
-the RNG stream contract that make the fused paths *exactly* (not just
-distributionally) equivalent to the legacy per-bucket path.
+See ``docs/kernels.md`` for the acceptance argument and the RNG stream
+contract that make the fused kernels *exactly* (not just distributionally)
+equivalent to the legacy per-bucket path.
 """
 
 from repro.kernels.round import (
-    ResolvedRound,
     SerialRound,
     positional_waits,
     resolve_capped_round,
@@ -24,7 +23,6 @@ from repro.kernels.round import (
 )
 
 __all__ = [
-    "ResolvedRound",
     "SerialRound",
     "positional_waits",
     "resolve_capped_round",

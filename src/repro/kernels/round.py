@@ -1,53 +1,41 @@
-"""The fused single-pass CAPPED acceptance kernel.
+"""The whole-round CAPPED kernels: acceptance and FIFO deletion in one call.
 
 The legacy round step of :class:`~repro.core.capped.CappedProcess` walks
 the age buckets oldest-first and pays ``np.bincount(minlength=n)``, a
-``minimum`` against free slots, and a full ``accept()`` pass *per bucket*
-— several full O(n) element passes per age bucket per round, plus a
-Python round-trip each. The fused kernel resolves capped acceptance for
-*all* age buckets in one shot, with no per-ball sorting and no Python
-loop over bins.
+``minimum`` against free slots, and a full ``accept()`` pass *per bucket*,
+then a separate deletion pass. The kernels here resolve a whole round —
+acceptance for *all* age buckets, the wait histogram, and the end-of-round
+FIFO deletion — in one call, with no per-ball sorting and no Python loop
+over bins.
 
 The key observation is exchangeability: balls generated in the same round
 are interchangeable, so acceptance never needs per-ball identity — only
-the *count* of requests per (bin, age bucket). Two regimes follow:
-
-**Unit-take fast path** (``free.max() <= 1``, which always holds for
-``c = 1`` — the paper's flagship configuration): every bin accepts at
-most one ball, namely its highest-priority requester. A descending-
-priority sweep of slice scatters (``winner[keys_of_bucket_b] = b``,
-oldest bucket written last) leaves each touched bin holding its winning
-bucket — O(#thrown) scattered writes and a handful of O(n) mask passes,
-with no request counting at all.
-
-**Counting general path**: one composite ``bincount`` over
-``bucket·n + key`` counts every (bucket, key) request pair at once —
-a counting sort of the thrown balls by age bucket and key without ever
-sorting per ball. A running row clip ``cum_b = min(cum_{b-1} + R_b,
-free)`` then applies the greedy oldest-first rule as K contiguous
-vector passes (the winner-map idea generalized past ``free <= 1``:
-instead of one winning bucket per key, each key holds a clipped
-cumulative *count* per bucket). There is no per-bucket Python
-round-trip through bin state and no budget bookkeeping — the clip is
-the budget.
-
-Waiting times never need per-ball expansion on this path: bucket
-``b``'s accepted balls at key ``k`` occupy the queue-position range
-``[loads_k + cum_{b-1,k}, loads_k + cum_{b,k})``, so the per-position
-occupancy of bucket ``b`` is the difference of two *position
-histograms* ``bincount(loads + cum_b)`` — and those histograms
-telescope across buckets (bucket ``b``'s end positions are bucket
-``b+1``'s starts), K+1 bincounts total. Shifting each bucket's
-occupancy by its age and summing gives the wait histogram directly;
-empty runs cancel between adjacent histograms, so nothing is ever
-scanned for non-zeros. A ball at position ``p`` waits ``age_b + p``
-rounds (see :mod:`repro.balls.bin_array` for the position identity);
-the legacy reference expands per-ball waits with
+the *count* of requests per (bin, age bucket). Waiting times need no
+per-ball expansion either: a ball accepted at queue position ``p`` waits
+its bucket's age plus ``p`` (see :mod:`repro.balls.bin_array` for the
+position identity); the legacy reference expands per-ball waits with
 :func:`positional_waits`.
 
-The kernel never mutates its inputs; callers commit the result through
-``BinArray.commit_accepted`` and ``AgePool.remove_bulk`` (one call each
-per round).
+Both kernels take the same leading arguments — round-start loads, the
+per-bin load ceiling, and the thrown balls' bin indices in priority-major
+order — and return a :class:`SerialRound`, which the caller installs with
+``BinArray.commit_round`` and ``AgePool.remove_bulk`` (one call each per
+round):
+
+:func:`resolve_capped_round_serial`
+    The general kernel: any finite ceiling, scalar or per bin, which
+    covers shared and heterogeneous capacities, degraded bins, draining
+    and down bins (their ceiling is their load) and unbounded bins (a
+    ceiling no bin can reach this round). Down bins are also frozen in
+    the deletion.
+
+:func:`resolve_capped_round`
+    The unit-take kernel for the homogeneous c = 1 steady state: ceiling
+    1 and every bin empty at round start. Each bin accepts at most its
+    highest-priority requester, found by a descending-priority sweep of
+    slice scatters, and deletes it again at round end.
+
+The kernels never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -60,7 +48,6 @@ import numpy as np
 from repro.telemetry.runtime import current as _telemetry_current
 
 __all__ = [
-    "ResolvedRound",
     "SerialRound",
     "positional_waits",
     "resolve_capped_round",
@@ -100,236 +87,6 @@ def positional_waits(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return repeated_starts + offsets
 
 
-@dataclass(slots=True)
-class ResolvedRound:
-    """Outcome of one fused acceptance pass.
-
-    Array dtypes are an implementation detail: the unit-take path returns
-    the narrowest representation that holds the values (boolean per-key
-    counts), so consume the fields numerically rather than relying on
-    ``int64`` or on writability.
-
-    Attributes
-    ----------
-    accepted_per_key:
-        ``(N,)`` — balls accepted by each key, ``min(total requests, free)``.
-    accepted_per_bucket:
-        ``(K,)`` — balls accepted from each priority bucket (bucket 0 is
-        highest priority), ready for ``AgePool.remove_bulk``.
-    accepted_total:
-        Total balls accepted.
-    wait_hist:
-        Sorted ``(values, counts)`` histogram of the accepted balls'
-        waiting times (``age + queue position``), as
-        :func:`wait_histogram` would return for the per-ball waits.
-    """
-
-    accepted_per_key: np.ndarray
-    accepted_per_bucket: np.ndarray
-    accepted_total: int
-    wait_hist: tuple[np.ndarray, np.ndarray]
-
-
-def _resolve_unit_take(
-    free: np.ndarray,
-    loads: np.ndarray,
-    ball_keys: np.ndarray,
-    bucket_counts: np.ndarray,
-    bucket_ages: np.ndarray,
-) -> ResolvedRound:
-    """Fast path for ``free <= 1`` everywhere (always true at c = 1).
-
-    Each key accepts at most one ball: the one from its highest-priority
-    requesting bucket. A descending-priority sweep of slice scatters
-    (oldest bucket written last, so it wins) finds that bucket per key
-    without counting requests at all.
-    """
-    num_keys = free.size
-    num_buckets = bucket_counts.size
-    # The first-touch scatter is bandwidth-bound; a byte-wide winner array
-    # cuts its traffic 8× (the live bucket count fits easily — K ~ 7).
-    dtype = np.int8 if num_buckets < 127 else np.int64
-    winner = np.full(num_keys, num_buckets, dtype=dtype)
-    bounds = np.cumsum(bucket_counts)
-    for b in range(num_buckets - 1, -1, -1):
-        winner[ball_keys[bounds[b] - bucket_counts[b] : bounds[b]]] = b
-
-    # At homogeneous c = 1 every bin is emptied by the end-of-round
-    # deletion, so at round start no bin is full and every load is zero;
-    # these checks are cheap single passes that skip the full-bin masking
-    # and the per-ball wait gather in that (dominant) case. Neither is
-    # assumed: heterogeneous, degraded, or down bins take the full
-    # branches.
-    if int(free.min()) <= 0:
-        # Evict full/down keys from the winner map itself so the mask
-        # and the per-bucket counts below both see the clipped outcome.
-        winner[free <= 0] = num_buckets
-    accepted_mask = winner < num_buckets
-    accepted_per_bucket = np.bincount(winner, minlength=num_buckets + 1)[:num_buckets]
-    accepted_total = int(accepted_per_bucket.sum())
-
-    if loads.any():
-        # Each accepted ball sits at queue position ``loads[key]``, so it
-        # waits its bucket's age plus that load.
-        accepted_keys = np.flatnonzero(accepted_mask)
-        waits = bucket_ages[winner[accepted_keys]] + loads[accepted_keys]
-        wait_hist = wait_histogram(waits)
-    else:
-        # With every load zero each accepted ball waits exactly its
-        # bucket's age, so the histogram *is* the per-bucket totals and
-        # no per-ball array need exist at all.
-        live = np.flatnonzero(accepted_per_bucket)
-        ages_live = bucket_ages[live]
-        order = np.argsort(ages_live)
-        wait_hist = (ages_live[order], accepted_per_bucket[live][order])
-    return ResolvedRound(
-        accepted_per_key=accepted_mask,
-        accepted_per_bucket=accepted_per_bucket,
-        accepted_total=accepted_total,
-        wait_hist=wait_hist,
-    )
-
-
-def _resolve_counting(
-    free: np.ndarray,
-    loads: np.ndarray,
-    ball_keys: np.ndarray,
-    bucket_counts: np.ndarray,
-    bucket_ages: np.ndarray,
-) -> ResolvedRound:
-    """General path: counting sort over (bucket, key) plus a running clip.
-
-    One composite ``bincount`` over ``bucket·num_keys + key`` produces the
-    full request matrix ``R`` (counting-sorting the balls by age bucket
-    and key); the greedy oldest-first rule is then K contiguous row
-    passes ``cum_b = min(cum_{b-1} + R_b, free)`` clipped in place over
-    the same matrix. ``cum_b`` is element-wise non-decreasing in ``b``
-    (``cum_{b-1} <= free`` always, so adding ``R_b >= 0`` and re-clipping
-    can only grow it), which makes ``cum`` exactly the per-key cumulative
-    acceptance through bucket ``b`` — the last row *is* the per-key
-    acceptance, no budget bookkeeping required.
-
-    The wait histogram comes from telescoped position histograms: bucket
-    ``b``'s accepted balls at key ``k`` sit at queue positions
-    ``[loads_k + cum_{b-1,k}, loads_k + cum_{b,k})``, so ``H_b =
-    bincount(loads + cum_b)`` gives bucket ``b``'s end positions *and*
-    bucket ``b+1``'s start positions. ``cumsum(H_{b-1} − H_b)`` is then
-    bucket ``b``'s per-position occupancy (keys with no acceptance in
-    ``b`` contribute equally to both histograms and cancel), and shifting
-    by ``age_b`` accumulates straight into the wait histogram — no
-    per-ball array, no non-zero scan, and every heavy pass is a
-    contiguous O(num_keys) operation.
-    """
-    num_keys = free.size
-    num_buckets = bucket_counts.size
-    if num_buckets == 1:
-        cum = np.bincount(ball_keys, minlength=num_keys).reshape(1, num_keys)
-    else:
-        offsets = np.repeat(np.arange(num_buckets, dtype=np.int64) * num_keys, bucket_counts)
-        cum = np.bincount(ball_keys + offsets, minlength=num_buckets * num_keys).reshape(
-            num_buckets, num_keys
-        )
-    np.minimum(cum[0], free, out=cum[0])
-    for b in range(1, num_buckets):
-        np.add(cum[b], cum[b - 1], out=cum[b])
-        np.minimum(cum[b], free, out=cum[b])
-
-    # Telescoped position histograms: hists[b] counts the start positions
-    # of bucket b and the end positions of bucket b−1.
-    pos = np.empty(num_keys, dtype=np.int64)
-    hists = [np.bincount(loads)]
-    for b in range(num_buckets):
-        np.add(cum[b], loads, out=pos)
-        hists.append(np.bincount(pos))
-    width = max(h.size for h in hists)
-    wait_hist = np.zeros(int(bucket_ages.max()) + width, dtype=np.int64)
-    accepted_per_bucket = np.empty(num_buckets, dtype=np.int64)
-    accepted_total = 0
-    for b in range(num_buckets):
-        h_start, h_end = hists[b], hists[b + 1]
-        occupancy = np.zeros(max(h_start.size, h_end.size), dtype=np.int64)
-        occupancy[: h_start.size] += h_start
-        occupancy[: h_end.size] -= h_end
-        np.cumsum(occupancy, out=occupancy)
-        taken = int(occupancy.sum())
-        accepted_per_bucket[b] = taken
-        accepted_total += taken
-        if taken:
-            age = int(bucket_ages[b])
-            wait_hist[age : age + occupancy.size] += occupancy
-    values = np.flatnonzero(wait_hist)
-    return ResolvedRound(
-        accepted_per_key=cum[num_buckets - 1],
-        accepted_per_bucket=accepted_per_bucket,
-        accepted_total=accepted_total,
-        wait_hist=(values, wait_hist[values]),
-    )
-
-
-def resolve_capped_round(
-    free: np.ndarray,
-    loads: np.ndarray,
-    ball_keys: np.ndarray,
-    bucket_counts: np.ndarray,
-    bucket_ages: np.ndarray,
-) -> ResolvedRound:
-    """Resolve capped acceptance for all thrown balls in one pass.
-
-    Parameters
-    ----------
-    free:
-        Per-key free slots (``BinArray.free_slots()``); not mutated.
-    loads:
-        Per-key loads at the start of the round; not mutated.
-    ball_keys:
-        One bin index per thrown ball, laid out in priority-major order:
-        the ``bucket_counts[0]`` balls of the highest-priority bucket
-        first, then bucket 1, and so on. Ball order *within* a bucket
-        never matters (exchangeability).
-    bucket_counts:
-        ``(K,)`` — balls per priority bucket. Bucket 0 is accepted first:
-        oldest-first callers pass age buckets oldest-first, the
-        youngest-first ablation passes them reversed.
-    bucket_ages:
-        ``(K,)`` — age ``t − label`` of each priority bucket's balls.
-        Must be distinct (true by construction for age buckets): the
-        zero-load unit-take path reads the histogram straight off the
-        per-bucket totals.
-
-    Returns
-    -------
-    ResolvedRound
-        Acceptance counts and the wait histogram. Loads and pool state
-        are *not* updated — callers commit via ``BinArray.commit_accepted``
-        and ``AgePool.remove_bulk``.
-    """
-    num_buckets = bucket_counts.size
-    if ball_keys.size == 0 or num_buckets == 0:
-        return ResolvedRound(
-            np.zeros(free.size, dtype=np.int64),
-            np.zeros(num_buckets, dtype=np.int64),
-            0,
-            (_EMPTY, _EMPTY),
-        )
-    # Dispatch: unit-take covers c = 1 exactly and saturated heterogeneous
-    # rounds opportunistically; the sentinel for unbounded bins (2**62)
-    # keeps those on the general path.
-    unit_take = int(free.max()) <= 1
-    resolve = _resolve_unit_take if unit_take else _resolve_counting
-    # Telemetry (path counts + resolve timing) is read-only and costs one
-    # global read when disabled; it lands in a *separate* metric from the
-    # phase laps so attribution never double-counts the accept phase.
-    tel = _telemetry_current()
-    if tel is None:
-        return resolve(free, loads, ball_keys, bucket_counts, bucket_ages)
-    start = time.perf_counter()
-    resolved = resolve(free, loads, ball_keys, bucket_counts, bucket_ages)
-    path = "unit_take" if unit_take else "counting"
-    tel.inc("kernel_dispatch_total", path=path)
-    tel.observe("kernel_resolve_seconds", time.perf_counter() - start, path=path)
-    return resolved
-
-
 # Buckets at most this large are resolved ball-by-ball in scalar Python:
 # below a couple dozen balls even a single ``np.unique`` call costs more
 # than the whole loop. Equilibrium pools put their oldest buckets here.
@@ -338,14 +95,13 @@ _TINY_BUCKET = 24
 
 @dataclass(slots=True)
 class SerialRound:
-    """Outcome of one whole serial round (acceptance *and* FIFO deletion).
+    """Outcome of one whole round (acceptance *and* FIFO deletion).
 
-    Produced by :func:`resolve_capped_round_serial`, which owns the
-    ``new_loads`` array outright — the caller installs it with
-    ``BinArray.commit_round`` (a reference swap, no copy) instead of
-    applying per-key deltas. Everything else is scalars or small arrays
-    derived from the load histogram, so committing a round touches no
-    O(n) memory beyond the kernel's own passes.
+    Produced by both kernels, which own the ``new_loads`` array outright
+    — the caller installs it with ``BinArray.commit_round`` (a reference
+    swap, no copy) instead of applying per-key deltas. Everything else is
+    scalars or small arrays derived from the load histogram, so committing
+    a round touches no O(n) memory beyond the kernel's own passes.
 
     Attributes
     ----------
@@ -357,7 +113,8 @@ class SerialRound:
     accepted_total:
         Total balls accepted.
     deleted:
-        Bins that performed their FIFO deletion (non-empty after accept).
+        Bins that performed their FIFO deletion (non-empty after accept
+        and not down).
     max_load:
         Maximum bin load after the deletion.
     peak_load:
@@ -384,33 +141,102 @@ class SerialRound:
     next_hist: list[int]
 
 
+def resolve_capped_round(
+    loads: np.ndarray,
+    capacity_limit: int,
+    ball_keys: np.ndarray,
+    bucket_counts: list[int],
+    bucket_ages: list[int],
+) -> SerialRound:
+    """Whole-round unit-take kernel: ceiling 1 and every bin empty.
+
+    This is the homogeneous c = 1 steady state (every bin is emptied by
+    the previous round's deletion). Each bin accepts at most one ball,
+    the one from its highest-priority requesting bucket, so a
+    descending-priority sweep of slice scatters (``winner[keys_b] = b``,
+    the highest-priority bucket written last, so it wins) finds it
+    without counting requests at all. Every accepted ball sits at queue
+    position 0 and waits exactly its bucket's age, so the wait histogram
+    *is* the per-bucket totals; every bin that accepted deletes its ball
+    again, so the loads stay zero and ``new_loads`` is ``loads`` itself.
+
+    Parameters
+    ----------
+    loads:
+        Bin loads at round start; must all be zero.
+    capacity_limit:
+        Must be 1; taken so both kernels share their leading arguments.
+    ball_keys / bucket_counts / bucket_ages:
+        As for :func:`resolve_capped_round_serial`. The ages must be
+        distinct (true for age buckets), since each is one wait value.
+    """
+    tel = _telemetry_current()
+    start = time.perf_counter() if tel is not None else 0.0
+    num_buckets = len(bucket_counts)
+    # The first-touch scatter is bandwidth-bound; a byte-wide winner array
+    # cuts its traffic 8× (the live bucket count fits easily — K ~ 7).
+    dtype = np.int8 if num_buckets < 127 else np.int64
+    winner = np.full(loads.size, num_buckets, dtype=dtype)
+    end = ball_keys.size
+    for b in range(num_buckets - 1, -1, -1):
+        winner[ball_keys[end - bucket_counts[b] : end]] = b
+        end -= bucket_counts[b]
+    accepted_per_bucket = np.bincount(winner, minlength=num_buckets + 1)[:num_buckets].tolist()
+    accepted_total = sum(accepted_per_bucket)
+    waits = sorted((age, taken) for age, taken in zip(bucket_ages, accepted_per_bucket) if taken)
+    result = SerialRound(
+        new_loads=loads,
+        accepted_per_bucket=accepted_per_bucket,
+        accepted_total=accepted_total,
+        deleted=accepted_total,
+        max_load=0,
+        peak_load=1 if accepted_total else 0,
+        wait_values=np.array([age for age, _ in waits], dtype=np.int64),
+        wait_counts=np.array([taken for _, taken in waits], dtype=np.int64),
+        next_hist=[loads.size, 0],
+    )
+    if tel is not None:
+        tel.inc("kernel_dispatch_total", path="unit_take")
+        tel.observe("kernel_resolve_seconds", time.perf_counter() - start, path="unit_take")
+    return result
+
+
+def _top(hist: list[int]) -> int:
+    """Highest load level a histogram holds (0 when every bin is empty)."""
+    for k in range(len(hist) - 1, 0, -1):
+        if hist[k]:
+            return k
+    return 0
+
+
 def resolve_capped_round_serial(
     loads: np.ndarray,
     capacity_limit,
     ball_keys: np.ndarray,
-    bucket_counts: np.ndarray,
-    bucket_ages: np.ndarray,
+    bucket_counts: list[int],
+    bucket_ages: list[int],
     hist_size: int,
-    initial_hist: np.ndarray | None = None,
+    initial_hist: list[int] | None = None,
+    frozen: np.ndarray | None = None,
 ) -> SerialRound:
-    """Whole-round serial kernel for finite capacities: accept + delete.
+    """Whole-round kernel for any finite per-bin ceiling: accept + delete.
 
-    The bandwidth-lean specialisation of the counting path for the serial
-    simulators (one process, bounded bins, no down bins). Three ideas cut
-    the per-round memory traffic to a handful of O(N) passes:
+    Three ideas cut the per-round memory traffic to a handful of O(N)
+    passes:
 
-    1. **Clip against effective capacity, not free slots.** Track the
-       evolving loads ``Q`` (starting at ``loads``) and clip
+    1. **Clip against the ceiling, not free slots.** Track the evolving
+       loads ``Q`` (starting at ``loads``) and clip
        ``Q = min(Q + R_b, capacity_limit)`` per bucket. For a shared
-       finite capacity the limit is a *scalar* — no free-slots array is
-       ever built, maintained, or subtracted.
+       capacity the limit is a *scalar* — no free-slots array is ever
+       built, maintained, or subtracted.
     2. **Everything else comes from the load histogram.** ``H =
-       bincount(Q)`` has ``hist_size`` entries (≤ capacity + 1). The
-       per-bucket change ``ΔH`` telescopes into the wait histogram
-       (``cumsum(ΔH)`` is the bucket's queue-position occupancy — see
-       :func:`_resolve_counting`), its sum is the bucket's acceptance,
-       ``N − H[0]`` is the deletion count, and the last non-zero index is
-       the max load. No non-zero scans over bins, ever.
+       bincount(Q)`` has ``hist_size`` entries. The per-bucket change
+       ``ΔH`` telescopes into the wait histogram: bucket ``b``'s accepted
+       balls at a bin occupy the queue positions from its load before the
+       bucket up to its load after it, so ``cumsum(ΔH)`` is the bucket's
+       queue-position occupancy. Its sum is the bucket's acceptance; the
+       deletion count and the max load come from ``H`` too. No non-zero
+       scans over bins, ever.
     3. **Sparse buckets never touch O(N) memory.** A bucket with at most
        ``N >> 3`` balls (older buckets at equilibrium are tiny) is
        resolved by gather/scatter on its unique keys alone; ``H`` is
@@ -421,9 +247,8 @@ def resolve_capped_round_serial(
 
     The FIFO deletion ``max(Q − 1, 0)`` is fused into the same pass
     structure, and the returned ``new_loads`` is handed to the caller by
-    reference — with lazy free-slot recomputation in ``BinArray``, a
-    fault-free round moves ~3× fewer bytes than the general counting
-    path.
+    reference — ``BinArray`` recomputes its free slots lazily, so a round
+    never maintains them.
 
     Parameters
     ----------
@@ -431,15 +256,24 @@ def resolve_capped_round_serial(
         Bin loads at round start; **not mutated** (the kernel builds its
         own ``Q``).
     capacity_limit:
-        Effective per-bin load ceiling ``max(capacity, load)``: a scalar
-        for shared capacities, an ``(N,)`` array for heterogeneous or
-        degraded bins. Must dominate ``loads`` element-wise.
-    ball_keys / bucket_counts / bucket_ages:
-        As for :func:`resolve_capped_round` (priority-major layout).
-        ``bucket_counts`` and ``bucket_ages`` may be plain lists — the
-        serial callers pass the ``AgePool`` bookkeeping straight through
-        without building arrays, since all per-bucket arithmetic here is
-        scalar.
+        Per-bin load ceiling (``BinArray.serial_round_limit``): a scalar
+        for shared capacities, an ``(N,)`` array for heterogeneous,
+        degraded, draining or down bins. Must dominate ``loads``
+        element-wise; a bin whose ceiling is its load accepts nothing.
+    ball_keys:
+        One bin index per thrown ball, laid out in priority-major order:
+        the ``bucket_counts[0]`` balls of the highest-priority bucket
+        first, then bucket 1, and so on. Ball order *within* a bucket
+        never matters (exchangeability).
+    bucket_counts:
+        Balls per priority bucket. Bucket 0 is accepted first:
+        oldest-first callers pass age buckets oldest-first, the
+        youngest-first ablation passes them reversed. Plain lists (the
+        ``AgePool`` bookkeeping) go straight through; all per-bucket
+        arithmetic here is scalar.
+    bucket_ages:
+        Age ``t − label`` of each priority bucket's balls, aligned with
+        ``bucket_counts``.
     hist_size:
         ``max(capacity_limit) + 1`` — fixed size for the load histogram.
     initial_hist:
@@ -448,6 +282,10 @@ def resolve_capped_round_serial(
         it skips the opening O(N) bincount. The caller owns the
         staleness contract: it must describe ``loads`` exactly. The list
         is consumed (mutated) by the kernel.
+    frozen:
+        Optional ``(N,)`` mask of down bins. Their ceilings must equal
+        their loads, and they skip the deletion: their queues neither
+        grow nor drain.
 
     Returns
     -------
@@ -477,14 +315,13 @@ def resolve_capped_round_serial(
         hist = np.bincount(loads, minlength=hist_size).tolist()
     # Ages are monotone (descending for oldest-first, ascending for the
     # youngest-first ablation), so the extremes bound the histogram.
-    max_age = int(max(bucket_ages[0], bucket_ages[-1]))
+    max_age = max(bucket_ages[0], bucket_ages[-1]) if num_buckets else 0
     wait_hist = [0] * (max_age + hist_size)
     accepted_per_bucket = [0] * num_buckets
     accepted_total = 0
     current = loads
     owned = False  # whether `current` is kernel-owned scratch (mutable)
     offset = 0
-
     for b in range(num_buckets):
         count = bucket_counts[b]
         if count == 0:
@@ -566,22 +403,27 @@ def resolve_capped_round_serial(
             accepted_per_bucket[b] = taken
             accepted_total += taken
 
-    deleted = num_keys - hist[0]
-    peak_load = 0
-    for k in range(hist_size - 1, 0, -1):
-        if hist[k]:
-            peak_load = k
-            break
+    peak_load = _top(hist)
     if not owned:
         current = current.copy()
-    np.subtract(current, 1, out=current)
-    np.maximum(current, 0, out=current)
+    if frozen is None:
+        np.subtract(current, 1, out=current)
+        np.maximum(current, 0, out=current)
+        serving = hist
+    else:
+        np.subtract(current, (current > 0) & ~frozen, out=current)
+        # Frozen bins keep their histogram column through the deletion.
+        still = np.bincount(loads[frozen], minlength=hist_size).tolist()
+        serving = [a - h for a, h in zip(hist, still)]
+    deleted = sum(serving) - serving[0]
 
-    # The deletion shifts the histogram down one load level (empty bins
+    # The deletion shifts the serving bins down one load level (empty bins
     # stay empty) — an O(hist_size) update that seeds the next round.
-    next_hist = hist[1:]
+    next_hist = serving[1:]
     next_hist.append(0)
-    next_hist[0] += hist[0]
+    next_hist[0] += serving[0]
+    if frozen is not None:
+        next_hist = [a + h for a, h in zip(next_hist, still)]
 
     wait_values = []
     wait_counts = []
@@ -594,7 +436,7 @@ def resolve_capped_round_serial(
         accepted_per_bucket=accepted_per_bucket,
         accepted_total=accepted_total,
         deleted=deleted,
-        max_load=max(peak_load - 1, 0),
+        max_load=_top(next_hist),
         peak_load=peak_load,
         wait_values=np.array(wait_values, dtype=np.int64),
         wait_counts=np.array(wait_counts, dtype=np.int64),

@@ -14,7 +14,7 @@ GREEDY[d]; ties towards the first-sampled probe). Acceptance and FIFO
 deletion are unchanged: the oldest requests win, capacity caps admissions,
 rejected balls return to the pool. Only the throw differs, so the class is
 a :class:`~repro.core.capped.CappedProcess` that overrides how the round's
-bin choices are drawn; the round loop, the fused/serial kernel dispatch,
+bin choices are drawn; the round loop, the round-kernel dispatch,
 checkpointing and the invariants are inherited.
 
 For d = 1 this is exactly CAPPED(c, λ) up to how randomness is consumed
@@ -51,8 +51,8 @@ class CappedDChoiceProcess(CappedProcess):
         Probes per ball per round; d = 1 recovers the paper's process.
     kernel:
         ``"fused"`` (default) commits every ball's probes in one draw and
-        resolves acceptance in one kernel call (the serial whole-round
-        kernel for c ≥ 2); ``"legacy"`` is the per-bucket sweep.
+        resolves the round, deletion included, in one whole-round kernel
+        call; ``"legacy"`` is the per-bucket sweep.
         Bit-identical for the same seed, including RNG consumption
         (row-major ``(count, d)`` draws concatenate to one ``(thrown, d)``
         draw — see ``docs/kernels.md``).

@@ -2,8 +2,8 @@
 
 Covers grow (capacity inheritance rules), shrink (all three removal
 policies and their validation), seal/unseal draining semantics, the
-serial-kernel eligibility view of draining/frozen bins, and checkpoint
-restore across a membership change.
+round kernels' ceiling view of draining/down/unbounded bins, and
+checkpoint restore across a membership change.
 """
 
 import numpy as np
@@ -144,30 +144,44 @@ class TestDrain:
 
 
 class TestSerialRoundLimit:
+    KEYS = np.array([0, 3, 3, 1], dtype=np.int64)
+
     def test_plain_scalar_case(self):
         bins = BinArray(4, capacity=3)
-        limit, hist_size = bins.serial_round_limit()
+        limit, hist_size = bins.serial_round_limit(self.KEYS)
         assert limit == 3 and hist_size == 4
 
     def test_draining_bins_clamp_to_current_load(self):
         bins = BinArray(4, capacity=3)
         fill(bins, [0, 2, 1, 0])
         bins.seal([1, 2])
-        limit, hist_size = bins.serial_round_limit()
+        limit, hist_size = bins.serial_round_limit(self.KEYS)
         assert limit.tolist() == [3, 2, 1, 3]
         assert hist_size == 4
 
-    def test_down_bins_bail_without_freeze(self):
+    def test_down_bins_clamp_to_current_load(self):
         bins = BinArray(4, capacity=3)
-        bins.set_down([1])
-        assert bins.serial_round_limit() is None
+        fill(bins, [0, 2, 1, 0])
+        bins.set_down([1, 3])
+        limit, hist_size = bins.serial_round_limit(self.KEYS)
+        assert limit.tolist() == [3, 2, 3, 0]
+        assert hist_size == 4
+        assert bins.frozen.tolist() == [False, True, False, True]
+        bins.set_up([1, 3])
+        assert bins.frozen is None
 
     def test_unit_capacity_gate(self):
+        # The c = 1 kernel runs on exactly this scalar ceiling.
         bins = BinArray(4, capacity=1)
-        assert bins.serial_round_limit() is None
+        limit, hist_size = bins.serial_round_limit(self.KEYS)
+        assert np.isscalar(limit) and limit == 1 and hist_size == 2
 
-    def test_unbounded_never_eligible(self):
-        assert BinArray(4, capacity=None).serial_round_limit() is None
+    def test_unbounded_ceiling_covers_the_round(self):
+        # Max load 2 plus the 2 balls thrown at bin 3: no bin can pass 4.
+        bins = BinArray(4, capacity=None)
+        fill(bins, [0, 2, 1, 0])
+        assert bins.serial_round_limit(self.KEYS) == (4, 5)
+        assert bins.serial_round_limit(self.KEYS[:0]) == (2, 3)
 
 
 class TestElasticState:

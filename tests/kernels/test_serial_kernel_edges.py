@@ -1,4 +1,4 @@
-"""Edge cases of the whole-round serial kernel and its dispatch guards.
+"""Edge cases of the whole-round serial kernel.
 
 The kernel's contract is purely arithmetic — clip evolving loads against
 a per-key ceiling, oldest buckets first — so a transparent per-ball
@@ -6,8 +6,8 @@ Python reference checks it exactly on inputs the simulators never
 produce through :class:`~repro.balls.bin_array.BinArray` (which enforces
 ``capacity >= 1``): zero-capacity keys, mixtures of tiny/huge ceilings,
 and bucket layouts sized to hit the tiny/sparse/dense code paths in one
-round. Separately: a fleet-wide outage (every bin down) must route the
-fused process off the serial kernel and still match legacy bit for bit.
+round. Separately: through a fleet-wide outage (every bin down) the
+serial kernel freezes every bin and must still match legacy bit for bit.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ class TestHeterogeneousCeilings:
 
 class TestFleetWideOutage:
     def run_with_outage(self, kernel):
-        # Crash every bin at once: the serial kernel is ineligible while
-        # anything is down, so the fused process must fall back and still
-        # match legacy exactly through the outage and the recovery.
+        # Crash every bin at once: the serial kernel freezes them all and
+        # must still match legacy exactly through the outage and the
+        # recovery.
         schedule = Schedule(events=(CrashBurst(at_round=15, fraction=1.0, duration=20),), seed=3)
         process = CappedProcess(n=64, capacity=2, lam=0.9375, rng=9, initial_pool=30, kernel=kernel)
         trace = TraceRecorder()

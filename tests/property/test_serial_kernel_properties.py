@@ -1,8 +1,8 @@
 """Property-based tests on the whole-round serial kernel.
 
 Hypothesis drives the exact-equivalence contract over randomly drawn
-small configurations: the fused path (which dispatches to the serial
-whole-round kernel for finite shared capacities) produces
+small configurations: the fused path (one whole-round kernel call per
+round) produces
 ``RoundRecord`` streams bit-identical to ``kernel="legacy"`` on random
 ``(n, c, λ)`` grids.
 """
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from repro.core.capped import CappedProcess
 from repro.rng import RngFactory
 
-# n, c, lambda numerator (lam = k/n). c >= 1 and finite so both the serial
-# kernel (c >= 2) and the unit-take path (c = 1) get coverage.
+# n, c, lambda numerator (lam = k/n). c = 1 covers the unit-take kernel
+# (and the serial kernel on rounds that start with loaded bins), c >= 2 the
+# serial kernel.
 configs = st.tuples(
     st.sampled_from([4, 8, 16, 32]),
     st.sampled_from([1, 2, 3, 5]),
