@@ -2,9 +2,11 @@
 
 CI regenerates the benchmark artifact on every push (the ``bench`` job)
 and then runs this script. The comparison deliberately uses only
-**machine-independent ratios** — fused-over-legacy speedups measured on
-the *same* run of the *same* machine — so a slower CI runner does not
-trip the gate, but a genuinely slower kernel does:
+**machine-independent ratios** — speedups of the fused kernels over the
+per-bucket reference sweep (``tests/oracles.py``; the artifact keeps its
+``legacy`` field names) measured on the *same* run of the *same* machine
+— so a slower CI runner does not trip the gate, but a genuinely slower
+kernel does:
 
 * every ``grid`` cell's ``fused_over_legacy`` ratio,
 * the flagship ``kernel_phase.speedup`` (acceptance phase only), and

@@ -1,13 +1,15 @@
-"""Fused-kernel engine benchmarks: the PR's perf acceptance metric.
+"""Fused-kernel engine benchmarks against the per-bucket reference sweep.
 
-Two measurements, both over the CAPPED(c, λ) grid the paper sweeps:
+The reference is the test-side sweep in ``tests/oracles.py`` (the legacy
+round step, kept only as an oracle); the artifact's ``legacy_*`` fields
+time it. Two measurements, both over the CAPPED(c, λ) grid the paper
+sweeps:
 
-* **End-to-end rounds/sec** for the fused kernel and the legacy
-  per-bucket reference, from a mean-field warm start (so the pool is at
-  its stationary size and the timing reflects the regime the figures
-  actually run in).
+* **End-to-end rounds/sec** for the fused kernel and the reference
+  sweep, from a mean-field warm start (so the pool is at its stationary
+  size and the timing reflects the regime the figures actually run in).
 * **Kernel-phase speedup** at the flagship cell (n = 2¹⁵, λ = 0.99,
-  c = 1): the acceptance-resolution phase alone — both kernels replay
+  c = 1): the acceptance-resolution phase alone — both paths replay
   the *same* injected choices on the *same* captured equilibrium state,
   so the comparison excludes the shared RNG draw and FIFO deletion and
   is deterministic up to timer noise. This is the ``>= 5x`` gate.
@@ -30,6 +32,8 @@ import pytest
 from repro.core.capped import CappedProcess
 from repro.core.meanfield import equilibrium
 
+from tests.oracles import SweepCappedProcess
+
 pytestmark = pytest.mark.bench
 
 GRID = [(n, c, lam) for n in (2**12, 2**15) for c in (1, 2, 4, 8) for lam in (0.7, 0.95, 0.99)]
@@ -40,15 +44,14 @@ def _lam_eff(n: int, lam: float) -> float:
     return round(lam * n) / n
 
 
-def _warm_process(n, c, lam, kernel, seed=0, warm=60):
+def _warm_process(n, c, lam, process_cls, seed=0, warm=60):
     lam_eff = _lam_eff(n, lam)
-    process = CappedProcess(
+    process = process_cls(
         n=n,
         capacity=c,
         lam=lam_eff,
         rng=seed,
         initial_pool=equilibrium(c, lam_eff).pool_size(n),
-        kernel=kernel,
     )
     for _ in range(warm):
         process.step()
@@ -66,12 +69,12 @@ def _rounds_per_sec(step, rounds: int) -> float:
     ("n", "c", "lam"), GRID, ids=[f"n={n}-c={c}-lam={lam}" for n, c, lam in GRID]
 )
 def test_engine_rounds_per_sec(benchmark, bench_json, profile_name, n, c, lam):
-    """Fused vs legacy throughput at one grid cell."""
+    """Fused vs reference-sweep throughput at one grid cell."""
     quick = profile_name == "quick"
     rounds = (8 if quick else 40) if n >= 2**15 else (30 if quick else 150)
 
-    legacy = _warm_process(n, c, lam, "legacy", warm=rounds // 2 + 5)
-    fused = _warm_process(n, c, lam, "fused", warm=rounds // 2 + 5)
+    legacy = _warm_process(n, c, lam, SweepCappedProcess, warm=rounds // 2 + 5)
+    fused = _warm_process(n, c, lam, CappedProcess, warm=rounds // 2 + 5)
 
     legacy_rps = _rounds_per_sec(legacy.step, rounds)
     fused_rps = benchmark.pedantic(
@@ -98,9 +101,9 @@ def test_engine_rounds_per_sec(benchmark, bench_json, profile_name, n, c, lam):
 
 
 def test_general_c_speedup_gate(benchmark, bench_json, profile_name):
-    """Whole-round fused/legacy ratio at the general-c cell (n=2^12, c=4).
+    """Whole-round fused/reference ratio at the general-c cell (n=2^12, c=4).
 
-    Interleaved best-of measurement: alternate short legacy/fused blocks
+    Interleaved best-of measurement: alternate short reference/fused blocks
     and take the best (minimum) per-round time of each across all blocks.
     Ambient load inflates both sides of a pair together, so the ratio of
     bests is far more stable than one long timing of each — the same
@@ -112,8 +115,8 @@ def test_general_c_speedup_gate(benchmark, bench_json, profile_name):
     quick = profile_name == "quick"
     blocks, rounds = (5, 60) if quick else (9, 120)
 
-    legacy = _warm_process(n, c, lam, "legacy", warm=80)
-    fused = _warm_process(n, c, lam, "fused", warm=80)
+    legacy = _warm_process(n, c, lam, SweepCappedProcess, warm=80)
+    fused = _warm_process(n, c, lam, CappedProcess, warm=80)
 
     def best_block(process):
         start = time.perf_counter()
@@ -149,19 +152,19 @@ def test_general_c_speedup_gate(benchmark, bench_json, profile_name):
 
 
 def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):
-    """Acceptance-phase fused/legacy ratio at n=2^15, λ=0.99, c=1.
+    """Acceptance-phase fused/reference ratio at n=2^15, λ=0.99, c=1.
 
-    Both kernels resolve the *same* captured equilibrium round with the
+    Both paths resolve the *same* captured equilibrium round with the
     *same* injected choices; state is restored outside the timed region
     after every repetition, so each sample times exactly one acceptance
-    resolution (scatter/count + commit), nothing else.
+    resolution (request counts and load update), nothing else.
     """
     n, c, lam = 2**15, 1, 0.99
     quick = profile_name == "quick"
     blocks, inner = (4, 4) if quick else (8, 8)
 
-    fused = _warm_process(n, c, lam, "fused", warm=100 if quick else 300)
-    legacy = CappedProcess(n=n, capacity=c, lam=fused.lam, rng=1, kernel="legacy")
+    fused = _warm_process(n, c, lam, CappedProcess, warm=100 if quick else 300)
+    legacy = SweepCappedProcess(n=n, capacity=c, lam=fused.lam, rng=1)
 
     t = fused.round
     pool_state = fused.pool.get_state()
@@ -173,7 +176,6 @@ def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):
         process.round = t
         process.pool.set_state(pool_state)
         process.bins.loads[:] = saved_loads
-        process.bins.free_slots()[:] = c - saved_loads
 
     def block_min(process, resolve):
         # Min over consecutive repetitions: the least-perturbed sample of
@@ -187,14 +189,14 @@ def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):
             best = min(best, time.perf_counter() - start)
         return best
 
-    # Alternate legacy/fused blocks and take the median of per-block
+    # Alternate reference/fused blocks and take the median of per-block
     # ratios: ambient machine load inflates both kernels of a pair
     # together, so drift cancels out of the ratio instead of landing on
     # whichever kernel happened to run during the busy window.
     ratios, legacy_times, fused_times = [], [], []
     for _ in range(blocks):
-        legacy_s = block_min(legacy, lambda: legacy._resolve_legacy(t, choices))
-        fused_s = block_min(fused, lambda: fused._resolve_fused(t, thrown, choices))
+        legacy_s = block_min(legacy, lambda: legacy.accept(t, choices))
+        fused_s = block_min(fused, lambda: fused._resolve_round(t, thrown, choices))
         ratios.append(legacy_s / fused_s)
         legacy_times.append(legacy_s)
         fused_times.append(fused_s)
@@ -202,7 +204,7 @@ def test_kernel_phase_speedup_flagship(benchmark, bench_json, profile_name):
     fused_ms = statistics.median(fused_times) * 1e3
     speedup = statistics.median(ratios)
     restore(fused)
-    benchmark.pedantic(lambda: fused._resolve_fused(t, thrown, choices), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: fused._resolve_round(t, thrown, choices), rounds=1, iterations=1)
 
     print(
         f"\nkernel phase (n={n}, c={c}, lam={lam}): "

@@ -16,9 +16,9 @@ the tests to validate this position-based accounting.
 
 Fault support
 -------------
-Bins can be marked *down* (:meth:`set_down`): a down bin reports zero free
-slots and performs no FIFO deletion, so it neither accepts nor serves until
-:meth:`set_up`. Capacities can be changed mid-run (:meth:`set_capacity`),
+Bins can be marked *down* (:meth:`set_down`): a down bin's round ceiling is
+its load and it performs no FIFO deletion, so it neither accepts nor serves
+until :meth:`set_up`. Capacities can be changed mid-run (:meth:`set_capacity`),
 which models temporary capacity degradation; because a degradation can drop
 capacity below the current load, the invariant checked is ``load <= high-water
 capacity`` — a bin never holds more balls than the largest capacity it has
@@ -35,11 +35,10 @@ displaced — the caller re-injects them into the pool), ``drop`` (queued balls
 are destroyed, the count is returned for accounting), and ``drain`` (the bins
 must already be empty; :meth:`seal` turns acceptance off while FIFO service
 continues, so a caller seals first and removes once the queues empty). Both
-operations keep every incremental cache — free slots, histogram carry, the
-down/draining masks, the high-water capacities, and the running counters —
-coherent, and :meth:`set_state` adopts the snapshot's bin count so a
-checkpoint taken after a resize restores into a process constructed at the
-original size.
+operations keep the histogram carry, the down/draining masks, the high-water
+capacities and the running counters coherent, and :meth:`set_state` adopts
+the snapshot's bin count so a checkpoint taken after a resize restores into
+a process constructed at the original size.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ class BinArray:
         "_any_down",
         "_any_draining",
         "_capacity_high_water",
-        "_free",
-        "_free_dirty",
         "_hist_cache",
         "_maybe_overcap",
         "_peak_load",
@@ -122,43 +119,15 @@ class BinArray:
             self._capacity_high_water = np.full(n, capacity, dtype=np.int64)
         else:
             self._capacity_high_water = capacity.copy()
-        # Incremental free-slots cache (see free_slots). For unbounded
-        # arrays it is a constant sentinel vector.
-        self._free_dirty = False
         self._maybe_overcap = False
         # Load histogram carried between kernel rounds (see
         # cached_load_hist); any loads mutation outside commit_round
         # drops it.
         self._hist_cache = None
-        if capacity is None:
-            self._free = np.full(n, 2**62, dtype=np.int64)
-        else:
-            self._free = None
-            self._refresh_free()
         self._peak_load = 0
         self._total_accepted = 0
         self._total_deleted = 0
         self._total_load = 0
-
-    def _refresh_free(self) -> None:
-        """Recompute the free-slots cache in place after a bulk mutation.
-
-        The hot per-round operations (:meth:`accept`, :meth:`delete_one_each`)
-        maintain the cache incrementally; everything that rewrites loads or
-        capacities wholesale (capacity changes, wipes, restores) calls this.
-        """
-        if self.capacity is None:
-            # Unbounded: the sentinel never depends on loads.
-            if self._free is None:
-                self._free = np.empty(self.n, dtype=np.int64)
-            self._free.fill(2**62)
-            self._free_dirty = False
-            return
-        if self._free is None:
-            self._free = np.empty(self.n, dtype=np.int64)
-        np.subtract(self.capacity, self.loads, out=self._free)
-        np.maximum(self._free, 0, out=self._free)
-        self._free_dirty = False
 
     @property
     def peak_load(self) -> int:
@@ -189,92 +158,6 @@ class BinArray:
     def draining_count(self) -> int:
         """Number of bins currently sealed for draining."""
         return int(np.count_nonzero(self.draining)) if self._any_draining else 0
-
-    def free_slots(self) -> np.ndarray:
-        """Per-bin remaining capacity ``max(c - ℓ_i, 0)`` (∞ bins report a sentinel).
-
-        For unbounded bins a value larger than any realistic request count
-        (2**62) is returned so that ``minimum(requests, free)`` never caps.
-        Down and draining (sealed) bins report zero. The clamp at zero
-        matters after a capacity degradation leaves a bin holding more
-        balls than its current cap.
-
-        The returned array is an incrementally-maintained cache — **treat
-        it as read-only**. On the fault-free path no recomputation or
-        allocation happens per call (the round-kernel commit marks the
-        cache dirty instead of refreshing it, so a consumer that never
-        asks never pays); only while bins are down or draining is a masked
-        copy returned.
-        """
-        if self._free_dirty:
-            self._refresh_free()
-        if self._any_down or self._any_draining:
-            free = self._free.copy()
-            if self._any_down:
-                free[self.down] = 0
-            if self._any_draining:
-                free[self.draining] = 0
-            return free
-        return self._free
-
-    def accept(self, requests: np.ndarray) -> np.ndarray:
-        """Accept as many requests per bin as capacity allows.
-
-        Parameters
-        ----------
-        requests:
-            Integer array of shape ``(n,)``: balls requesting each bin.
-
-        Returns
-        -------
-        numpy.ndarray
-            Per-bin accepted counts ``min(requests, c - ℓ_i)``; loads are
-            updated in place.
-        """
-        if requests.shape != (self.n,):
-            raise ValueError(f"requests must have shape ({self.n},), got {requests.shape}")
-        accepted = np.minimum(requests, self.free_slots())
-        self._hist_cache = None
-        self.loads += accepted
-        accepted_total = int(accepted.sum())
-        if self.capacity is not None:
-            # Incremental cache update: accepted ≤ free per bin, so the
-            # clamp at zero is never violated by this subtraction.
-            self._free -= accepted
-        self._total_accepted += accepted_total
-        self._total_load += accepted_total
-        peak = int(self.loads.max()) if self.n else 0
-        if peak > self._peak_load:
-            self._peak_load = peak
-        return accepted
-
-    def delete_one_each(self) -> int:
-        """End-of-round FIFO deletion: every non-empty *up* bin deletes one ball.
-
-        Returns the number of bins that deleted (i.e. successful deletion
-        attempts in the paper's terminology). Down bins are frozen: their
-        queues neither grow nor drain.
-        """
-        self._hist_cache = None
-        if self._any_down:
-            nonempty = (self.loads > 0) & ~self.down
-            deleted = int(np.count_nonzero(nonempty))
-            np.subtract(self.loads, nonempty, out=self.loads)
-        else:
-            # Fault-free fast path: max(ℓ − 1, 0) is subtract-one-from-
-            # each-non-empty without a boolean mask or a fancy-index write.
-            deleted = int(np.count_nonzero(self.loads))
-            np.subtract(self.loads, 1, out=self.loads)
-            np.maximum(self.loads, 0, out=self.loads)
-        if self.capacity is not None:
-            # In-place cache refresh: a plain +1 would be wrong for bins
-            # left over capacity by a degradation (their free stays 0).
-            np.subtract(self.capacity, self.loads, out=self._free)
-            np.maximum(self._free, 0, out=self._free)
-        self._free_dirty = False
-        self._total_deleted += deleted
-        self._total_load -= deleted
-        return deleted
 
     @property
     def frozen(self) -> np.ndarray | None:
@@ -326,12 +209,10 @@ class BinArray:
 
         The round kernels own their ``new_loads`` array (loads after
         acceptance *and* the FIFO deletion), so committing is a reference
-        swap plus counter updates — no O(n) pass. The free-slots cache is
-        only marked dirty: :meth:`free_slots` recomputes on the next read,
-        and a consumer that never asks never pays.
+        swap plus counter updates — no O(n) pass. This is the only way a
+        round changes the loads.
         """
         self.loads = resolved.new_loads
-        self._free_dirty = True
         self._hist_cache = resolved.next_hist
         self._total_accepted += resolved.accepted_total
         self._total_deleted += resolved.deleted
@@ -371,7 +252,6 @@ class BinArray:
             wiped = int(self.loads[indices].sum())
             self.loads[indices] = 0
             self._total_load -= wiped
-            self._refresh_free()
         self.down[indices] = True
         self._any_down = bool(self.down.any())
         return wiped
@@ -383,13 +263,13 @@ class BinArray:
         self._any_down = bool(self.down.any())
 
     def seal(self, indices) -> None:
-        """Seal bins for draining: zero free slots, FIFO service continues.
+        """Seal bins for draining: no acceptance, FIFO service continues.
 
         A sealed bin accepts no new balls but keeps deleting one per round,
         so its queue empties in at most ``load`` rounds — after which
         :meth:`shrink` with the ``drain`` policy can remove it without
         displacing anything. Loads are untouched, so the histogram carry
-        stays valid; only the free-slots view changes.
+        stays valid; only the round ceiling changes.
         """
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         self.draining[indices] = True
@@ -414,7 +294,7 @@ class BinArray:
             Bins to change; ``None`` applies to all bins.
 
         Existing loads are never truncated — a bin holding more than its new
-        capacity simply reports zero free slots until it drains. The
+        capacity simply accepts nothing until it drains. The
         invariant tracked is the per-bin high-water capacity.
         """
         if capacity is None:
@@ -422,7 +302,6 @@ class BinArray:
                 raise ConfigurationError("cannot set unbounded capacity on a subset of bins")
             self.capacity = None
             self._capacity_high_water = None
-            self._refresh_free()
             return
         if indices is None:
             if np.isscalar(capacity):
@@ -462,7 +341,6 @@ class BinArray:
         # Update the high-water mark (unbounded never returns to bounded here).
         if self._capacity_high_water is not None:
             np.maximum(self._capacity_high_water, self.capacity, out=self._capacity_high_water)
-        self._refresh_free()
 
     def capacity_of(self, indices) -> np.ndarray:
         """Current capacities of the given bins (for save/restore by injectors)."""
@@ -534,8 +412,6 @@ class BinArray:
                 [self._capacity_high_water, np.full(count, new_cap, dtype=np.int64)]
             )
         self._hist_cache = None
-        self._free = None
-        self._refresh_free()
         return np.arange(old_n, self.n, dtype=np.int64)
 
     def shrink(self, indices, policy: str = "rehash") -> int:
@@ -587,8 +463,6 @@ class BinArray:
         self.n -= int(indices.size)
         self._total_load -= displaced
         self._hist_cache = None
-        self._free = None
-        self._refresh_free()
         return displaced
 
     def reset(self) -> None:
@@ -596,7 +470,6 @@ class BinArray:
         self.loads[:] = 0
         self._total_load = 0
         self._hist_cache = None
-        self._refresh_free()
 
     def get_state(self) -> dict:
         """Snapshot for checkpoint/restore.
@@ -604,7 +477,7 @@ class BinArray:
         Includes the *current* capacity (None / int / per-bin list): a
         capacity-degradation fault may have changed it since construction,
         and restoring only the high-water mark would silently resume with
-        the wrong free-slot budget.
+        the wrong acceptance budget.
         """
         if self.capacity is None or np.isscalar(self.capacity):
             capacity = self.capacity if self.capacity is None else int(self.capacity)
@@ -676,8 +549,6 @@ class BinArray:
         # loads can exceed capacity until proven otherwise.
         self._maybe_overcap = True
         self._hist_cache = None
-        self._free = None  # sized for the adopted n on the refresh below
-        self._refresh_free()
         self.check_invariants()
 
     def check_invariants(self) -> None:
@@ -711,14 +582,6 @@ class BinArray:
             raise InvariantViolation(
                 f"total-load counter {self._total_load} != actual {int(self.loads.sum())}"
             )
-        if self._free_dirty:
-            self._refresh_free()
-        if self.capacity is None:
-            expected_free = np.full(self.n, 2**62, dtype=np.int64)
-        else:
-            expected_free = np.maximum(self.capacity - self.loads, 0)
-        if not np.array_equal(self._free, expected_free):
-            raise InvariantViolation("free-slots cache out of sync with loads")
         if self._hist_cache is not None and list(self._hist_cache) != np.bincount(
             self.loads, minlength=len(self._hist_cache)
         ).tolist():

@@ -2,30 +2,17 @@
 
 :mod:`repro.kernels.round`
     Two whole-round CAPPED kernels that resolve acceptance for all age
-    buckets *and* the FIFO deletion in one call, replacing the legacy
-    per-age-bucket ``bincount`` + ``free_slots`` + ``accept`` sweep and
-    its separate deletion pass: the serial kernel, which clips evolving
-    loads against a per-bin ceiling and reads everything else off the
-    load histogram, and the unit-take kernel for the c = 1 steady state.
-    Both return a ``SerialRound``, installed by ``BinArray.commit_round``.
+    buckets *and* the FIFO deletion in one call: the serial kernel, which
+    clips evolving loads against a per-bin ceiling and reads everything
+    else off the load histogram, and the unit-take kernel for the c = 1
+    steady state. Both return a ``SerialRound``, installed by
+    ``BinArray.commit_round``.
 
 See ``docs/kernels.md`` for the acceptance argument and the RNG stream
-contract that make the fused kernels *exactly* (not just distributionally)
-equivalent to the legacy per-bucket path.
+contract that make the kernels *exactly* (not just distributionally)
+equivalent to the per-bucket reference sweep in ``tests/oracles.py``.
 """
 
-from repro.kernels.round import (
-    SerialRound,
-    positional_waits,
-    resolve_capped_round,
-    resolve_capped_round_serial,
-    wait_histogram,
-)
+from repro.kernels.round import SerialRound, resolve_capped_round, resolve_capped_round_serial
 
-__all__ = [
-    "SerialRound",
-    "positional_waits",
-    "resolve_capped_round",
-    "resolve_capped_round_serial",
-    "wait_histogram",
-]
+__all__ = ["SerialRound", "resolve_capped_round", "resolve_capped_round_serial"]

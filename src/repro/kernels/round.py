@@ -1,20 +1,18 @@
 """The whole-round CAPPED kernels: acceptance and FIFO deletion in one call.
 
-The legacy round step of :class:`~repro.core.capped.CappedProcess` walks
-the age buckets oldest-first and pays ``np.bincount(minlength=n)``, a
-``minimum`` against free slots, and a full ``accept()`` pass *per bucket*,
-then a separate deletion pass. The kernels here resolve a whole round —
-acceptance for *all* age buckets, the wait histogram, and the end-of-round
-FIFO deletion — in one call, with no per-ball sorting and no Python loop
-over bins.
+Algorithm 1 read literally walks the age buckets oldest-first and pays an
+O(n) request count, a clip against free slots and a load update *per
+bucket*, then a separate deletion pass (the tests keep that sweep as their
+reference). The kernels here resolve a whole round — acceptance for *all*
+age buckets, the wait histogram, and the end-of-round FIFO deletion — in
+one call, with no per-ball sorting and no Python loop over bins.
 
 The key observation is exchangeability: balls generated in the same round
 are interchangeable, so acceptance never needs per-ball identity — only
 the *count* of requests per (bin, age bucket). Waiting times need no
 per-ball expansion either: a ball accepted at queue position ``p`` waits
 its bucket's age plus ``p`` (see :mod:`repro.balls.bin_array` for the
-position identity); the legacy reference expands per-ball waits with
-:func:`positional_waits`.
+position identity).
 
 Both kernels take the same leading arguments — round-start loads, the
 per-bin load ceiling, and the thrown balls' bin indices in priority-major
@@ -47,44 +45,7 @@ import numpy as np
 
 from repro.telemetry.runtime import current as _telemetry_current
 
-__all__ = [
-    "SerialRound",
-    "positional_waits",
-    "resolve_capped_round",
-    "resolve_capped_round_serial",
-    "wait_histogram",
-]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
-
-
-def wait_histogram(waits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (values, counts) of a waiting-time sample.
-
-    Equivalent to ``np.unique(waits, return_counts=True)`` but via one
-    bincount — waits are small non-negative ints, so counting beats the
-    O(m log m) sort for the large per-round samples near λ → 1.
-    """
-    if not waits.size:
-        return _EMPTY, _EMPTY
-    histogram = np.bincount(waits)
-    values = np.flatnonzero(histogram)
-    return values, histogram[values]
-
-
-def positional_waits(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Expand per-run (start, length) pairs into individual waiting times.
-
-    Run ``i`` contributes the values ``starts[i], starts[i]+1, ...,
-    starts[i]+lengths[i]−1`` — one per accepted ball, in queue order.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return _EMPTY
-    repeated_starts = np.repeat(starts, lengths)
-    cumulative = np.cumsum(lengths) - lengths
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cumulative, lengths)
-    return repeated_starts + offsets
+__all__ = ["SerialRound", "resolve_capped_round", "resolve_capped_round_serial"]
 
 
 # Buckets at most this large are resolved ball-by-ball in scalar Python:
@@ -247,8 +208,7 @@ def resolve_capped_round_serial(
 
     The FIFO deletion ``max(Q − 1, 0)`` is fused into the same pass
     structure, and the returned ``new_loads`` is handed to the caller by
-    reference — ``BinArray`` recomputes its free slots lazily, so a round
-    never maintains them.
+    reference — ``BinArray.commit_round`` installs it without a copy.
 
     Parameters
     ----------

@@ -29,14 +29,10 @@ import numpy as np
 
 from repro.core.capped import CappedProcess
 from repro.errors import ConfigurationError
-from repro.kernels.round import positional_waits as _positional_waits
 from repro.processes.greedy import least_loaded
-from repro.telemetry.runtime import PhaseClock
 from repro.workloads.arrivals import ArrivalProcess
 
 __all__ = ["CappedDChoiceProcess"]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class CappedDChoiceProcess(CappedProcess):
@@ -49,13 +45,10 @@ class CappedDChoiceProcess(CappedProcess):
         finite — with unbounded bins this degenerates to GREEDY[d]).
     d:
         Probes per ball per round; d = 1 recovers the paper's process.
-    kernel:
-        ``"fused"`` (default) commits every ball's probes in one draw and
-        resolves the round, deletion included, in one whole-round kernel
-        call; ``"legacy"`` is the per-bucket sweep.
-        Bit-identical for the same seed, including RNG consumption
-        (row-major ``(count, d)`` draws concatenate to one ``(thrown, d)``
-        draw — see ``docs/kernels.md``).
+        Every ball's probes are committed in one ``(thrown, d)`` draw,
+        the same words as one ``(count, d)`` draw per age bucket (see
+        ``docs/kernels.md``), and the round resolves in one whole-round
+        kernel call.
 
     Choices injected through :meth:`step` are the committed bins, one per
     thrown ball oldest first; no probes are drawn for them.
@@ -72,15 +65,12 @@ class CappedDChoiceProcess(CappedProcess):
         rng=None,
         arrivals: ArrivalProcess | None = None,
         initial_pool: int = 0,
-        kernel: str = "fused",
     ) -> None:
         if capacity is None or capacity < 1:
             raise ConfigurationError(f"capacity must be a positive int, got {capacity}")
         if d < 1:
             raise ConfigurationError(f"need at least one probe, got d={d}")
-        super().__init__(
-            n, capacity, lam, rng=rng, arrivals=arrivals, initial_pool=initial_pool, kernel=kernel
-        )
+        super().__init__(n, capacity, lam, rng=rng, arrivals=arrivals, initial_pool=initial_pool)
         self.d = d
 
     def _draw_choices(self, thrown: int) -> np.ndarray:
@@ -93,42 +83,3 @@ class CappedDChoiceProcess(CappedProcess):
         """
         probes = self.rng.integers(0, self.n, size=(thrown, self.d))
         return least_loaded(probes, self.bins.loads)
-
-    def _resolve_legacy(
-        self,
-        t: int,
-        choices: np.ndarray | None,
-        clock: PhaseClock | None = None,
-    ) -> tuple[int, np.ndarray]:
-        """The original per-bucket sweep — the executable reference.
-
-        Commits are drawn up front, one ``(count, d)`` draw per bucket
-        (loads are untouched until the first accept, so no defensive copy
-        is needed), and pool removals are committed in one bulk call, so
-        the sweep never iterates a mutating structure.
-        """
-        labels, counts = self.pool.as_arrays()
-        if choices is None:
-            committed_chunks = [self._draw_choices(int(count)) for count in counts]
-        else:
-            committed_chunks = np.split(np.asarray(choices), np.cumsum(counts)[:-1])
-        if clock is not None:
-            clock.lap("throw")
-
-        wait_chunks: list[np.ndarray] = []
-        removed = np.zeros(len(labels), dtype=np.int64)
-        for i, (label, committed) in enumerate(zip(labels, committed_chunks)):
-            requests = np.bincount(committed, minlength=self.n)
-            accepted = np.minimum(requests, self.bins.free_slots())
-            bucket_accepted = int(accepted.sum())
-            if bucket_accepted:
-                nonzero = np.nonzero(accepted)[0]
-                starts = (t - label) + self.bins.loads[nonzero]
-                wait_chunks.append(_positional_waits(starts, accepted[nonzero]))
-                self.bins.accept(requests)
-                removed[i] = bucket_accepted
-        if removed.any():
-            self.pool.remove_bulk(removed)
-
-        waits = np.concatenate(wait_chunks) if wait_chunks else _EMPTY
-        return int(removed.sum()), waits

@@ -11,8 +11,9 @@ Model (a deliberately small subset of the Prometheus data model):
 * a **metric family** has a name, a kind (``counter`` / ``gauge`` /
   ``histogram``) and a help string;
 * each family holds one **series** per distinct label set
-  (``rounds_total{kernel="fused"}`` and ``rounds_total{kernel="legacy"}``
-  are two series of one family);
+  (``kernel_dispatch_total{path="serial"}`` and
+  ``kernel_dispatch_total{path="unit_take"}`` are two series of one
+  family);
 * counters accumulate, gauges hold the last value, histograms track
   ``count/sum/min/max`` exactly plus a bounded reservoir for quantiles
   (deterministic: the reservoir's sampling RNG is a private

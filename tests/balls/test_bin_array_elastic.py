@@ -12,12 +12,7 @@ import pytest
 from repro.balls.bin_array import BinArray
 from repro.errors import ConfigurationError
 
-
-def fill(bins, loads):
-    """Force exact per-bin loads through the public accept path."""
-    requests = np.asarray(loads, dtype=np.int64)
-    accepted = bins.accept(requests)
-    assert np.array_equal(accepted, requests)
+from tests.rounds import fill, run_round
 
 
 class TestGrow:
@@ -34,7 +29,7 @@ class TestGrow:
         bins = BinArray(4, capacity=3)
         bins.grow(2)
         assert np.isscalar(bins.capacity) and bins.capacity == 3
-        assert bins.free_slots().tolist() == [3] * 6
+        assert run_round(bins, [5] * 6).accepted_total == 3 * 6
 
     def test_different_capacity_goes_per_bin(self):
         bins = BinArray(4, capacity=3)
@@ -124,11 +119,10 @@ class TestDrain:
         fill(bins, [1, 2, 0, 0])
         bins.seal([1])
         assert bins.draining.tolist() == [False, True, False, False]
-        assert bins.free_slots()[1] == 0
-        assert bins.free_slots()[2] == 3
+        # The sealed bin takes nothing; bin 2 fills up.
+        assert run_round(bins, [0, 3, 3, 0]).accepted_total == 3
         # FIFO service still drains the sealed queue.
-        bins.delete_one_each()
-        bins.delete_one_each()
+        run_round(bins, [0, 0, 0, 0])
         assert bins.loads[1] == 0
         bins.shrink(np.array([1]), policy="drain")
         assert bins.n == 3
@@ -140,7 +134,7 @@ class TestDrain:
         bins.seal([0, 2])
         bins.unseal([0, 2])
         assert not bins.draining.any()
-        assert bins.free_slots().tolist() == [2, 2, 2]
+        assert run_round(bins, [3, 3, 3]).accepted_total == 6
 
 
 class TestSerialRoundLimit:
@@ -197,7 +191,9 @@ class TestElasticState:
         assert fresh.n == 7
         assert fresh.loads.tolist() == bins.loads.tolist()
         assert fresh.draining.tolist() == bins.draining.tolist()
-        assert fresh.free_slots().tolist() == bins.free_slots().tolist()
+        requests = [3] * 7
+        assert run_round(fresh, requests).accepted_total == run_round(bins, requests).accepted_total
+        assert fresh.loads.tolist() == bins.loads.tolist()
         fresh.check_invariants()
 
     def test_snapshot_after_shrink_restores_into_larger_array(self):

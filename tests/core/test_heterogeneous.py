@@ -9,17 +9,21 @@ from repro.core.meanfield import equilibrium, mixture_equilibrium_pool
 from repro.engine.driver import SimulationDriver
 from repro.errors import ConfigurationError
 
+from tests.rounds import fill, run_round
+
 
 class TestBinArrayPerBinCapacity:
     def test_accept_respects_per_bin_caps(self):
         bins = BinArray(n=3, capacity=np.array([1, 2, 3]))
-        accepted = bins.accept(np.array([5, 5, 5]))
-        assert accepted.tolist() == [1, 2, 3]
+        resolved = run_round(bins, [5, 5, 5])
+        # Queue positions 0 at all three bins, 1 at two of them, 2 at one.
+        assert resolved.wait_values.tolist() == [0, 1, 2]
+        assert resolved.wait_counts.tolist() == [3, 2, 1]
 
     def test_free_slots_per_bin(self):
         bins = BinArray(n=2, capacity=np.array([2, 4]))
-        bins.accept(np.array([1, 1]))
-        assert bins.free_slots().tolist() == [1, 3]
+        fill(bins, [1, 1])
+        assert run_round(bins, [9, 9]).accepted_total == 1 + 3
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):

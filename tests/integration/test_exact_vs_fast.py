@@ -14,10 +14,12 @@ import pytest
 from repro.core.capped import CappedProcess, ExactCappedSimulator
 from repro.workloads.arrivals import DeterministicArrivals
 
+from tests.oracles import SweepCappedProcess
 
-def run_coupled_pair(n, capacity, lam, rounds, seed, kernel="fused"):
+
+def run_coupled_pair(n, capacity, lam, rounds, seed, process_cls=CappedProcess):
     """Run both simulators on shared choices; return wait multisets."""
-    fast = CappedProcess(n=n, capacity=capacity, lam=lam, rng=0, kernel=kernel)
+    fast = process_cls(n=n, capacity=capacity, lam=lam, rng=0)
     exact = ExactCappedSimulator(n=n, capacity=capacity, lam=lam, rng=0)
     choice_rng = np.random.default_rng(seed)
     arrivals_per_round = round(lam * n)
@@ -60,7 +62,9 @@ def run_coupled_pair(n, capacity, lam, rounds, seed, kernel="fused"):
     return fast_waits, exact_waits
 
 
-@pytest.mark.parametrize("kernel", ["fused", "legacy"])
+@pytest.mark.parametrize(
+    "process_cls", [CappedProcess, SweepCappedProcess], ids=["fused", "legacy"]
+)
 @pytest.mark.parametrize(
     "n,capacity,lam",
     [
@@ -71,12 +75,15 @@ def run_coupled_pair(n, capacity, lam, rounds, seed, kernel="fused"):
         (8, None, 0.75),
     ],
 )
-def test_trajectories_and_wait_multisets_identical(n, capacity, lam, kernel):
-    # Both kernels are driven with *identical injected choices*, so the
-    # per-round assertions inside run_coupled_pair pin the fused kernel
-    # bit-for-bit against the per-ball reference — pool sizes, acceptance
-    # counts, loads every round, wait multisets at the end.
-    fast_waits, exact_waits = run_coupled_pair(n, capacity, lam, rounds=60, seed=123, kernel=kernel)
+def test_trajectories_and_wait_multisets_identical(n, capacity, lam, process_cls):
+    # The fused kernel and the per-bucket reference sweep ("legacy") are
+    # driven with *identical injected choices*, so the per-round
+    # assertions inside run_coupled_pair pin each bit-for-bit against the
+    # per-ball simulator — pool sizes, acceptance counts, loads every
+    # round, wait multisets at the end.
+    fast_waits, exact_waits = run_coupled_pair(
+        n, capacity, lam, rounds=60, seed=123, process_cls=process_cls
+    )
     assert sorted(fast_waits) == sorted(exact_waits)
 
 

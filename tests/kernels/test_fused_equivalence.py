@@ -1,11 +1,12 @@
-"""The fused round kernel is distributionally exact against the legacy sweep.
+"""The fused round kernel is exact against the per-bucket reference sweep.
 
-Two layers of evidence, per the kernel's contract:
+The sweep (``tests/oracles.py``) is the original, legacy round step. Two
+layers of evidence, per the kernel's contract:
 
 1. **Identical injected choices** → identical :class:`RoundRecord`
    sequences (pure acceptance-logic equivalence, no RNG involved).
 2. **Independent streams from the same seed** → identical sequences
-   *anyway*, because both kernels consume the generator identically:
+   *anyway*, because both paths consume the generator identically:
    bounded ``Generator.integers`` draws split across calls concatenate
    bit-identically to one big call (asserted directly below as the
    RNG-stream contract).
@@ -31,9 +32,10 @@ from repro.churn import (
 from repro.core.capped import CappedProcess
 from repro.engine.driver import SimulationDriver
 from repro.engine.observers import TraceRecorder
-from repro.errors import ConfigurationError
 from repro.processes.capped_dchoice import CappedDChoiceProcess
 from repro.rng import RngFactory
+
+from tests.oracles import SweepCappedProcess, SweepDChoiceProcess
 
 
 def assert_records_equal(a, b, context=""):
@@ -49,9 +51,9 @@ def assert_records_equal(a, b, context=""):
     assert np.array_equal(a.wait_counts, b.wait_counts), context
 
 
-def run_capped(kernel, rounds=150, seed=7, **kwargs):
+def run_capped(process_cls, rounds=150, seed=7, **kwargs):
     rng = RngFactory(seed).child(0).generator("capped")
-    process = CappedProcess(rng=rng, kernel=kernel, **kwargs)
+    process = process_cls(rng=rng, **kwargs)
     records = [process.step() for _ in range(rounds)]
     process.check_invariants()
     return records, process
@@ -69,8 +71,8 @@ CAPPED_CONFIGS = [
 class TestCappedFusedVsLegacy:
     @pytest.mark.parametrize("config", CAPPED_CONFIGS, ids=lambda c: str(sorted(c.items())))
     def test_independent_streams_same_seed(self, config):
-        fused, p1 = run_capped("fused", **config)
-        legacy, p2 = run_capped("legacy", **config)
+        fused, p1 = run_capped(CappedProcess, **config)
+        legacy, p2 = run_capped(SweepCappedProcess, **config)
         for a, b in zip(fused, legacy):
             assert_records_equal(a, b, context=f"round {a.round}: {config}")
         assert np.array_equal(p1.bins.loads, p2.bins.loads)
@@ -79,8 +81,8 @@ class TestCappedFusedVsLegacy:
 
     def test_heterogeneous_per_bin_capacities(self):
         capacity = np.arange(1, 33) % 3 + 1
-        fused, p1 = run_capped("fused", n=32, capacity=capacity, lam=0.9375)
-        legacy, p2 = run_capped("legacy", n=32, capacity=capacity, lam=0.9375)
+        fused, p1 = run_capped(CappedProcess, n=32, capacity=capacity, lam=0.9375)
+        legacy, p2 = run_capped(SweepCappedProcess, n=32, capacity=capacity, lam=0.9375)
         for a, b in zip(fused, legacy):
             assert_records_equal(a, b, context=f"round {a.round}")
         assert np.array_equal(p1.bins.loads, p2.bins.loads)
@@ -88,8 +90,8 @@ class TestCappedFusedVsLegacy:
     def test_identical_injected_choices(self):
         # No RNG in the loop at all: the acceptance logic alone must agree.
         n, lam = 32, 0.875
-        fused = CappedProcess(n=n, capacity=2, lam=lam, rng=0, kernel="fused")
-        legacy = CappedProcess(n=n, capacity=2, lam=lam, rng=0, kernel="legacy")
+        fused = CappedProcess(n=n, capacity=2, lam=lam, rng=0)
+        legacy = SweepCappedProcess(n=n, capacity=2, lam=lam, rng=0)
         choice_rng = np.random.default_rng(42)
         for _ in range(120):
             thrown = fused.pool.size + round(lam * n)
@@ -97,7 +99,7 @@ class TestCappedFusedVsLegacy:
             assert_records_equal(fused.step(choices=choices), legacy.step(choices=choices))
 
     def test_rng_stream_contract(self):
-        # The property both kernels' bit-identity rests on: bounded integer
+        # The property the paths' bit-identity rests on: bounded integer
         # draws split across calls equal one concatenated draw, for the 1D
         # per-bucket splits and the row-major (count, d) probe matrices.
         split, whole = np.random.default_rng(3), np.random.default_rng(3)
@@ -107,12 +109,6 @@ class TestCappedFusedVsLegacy:
         split2, whole2 = np.random.default_rng(4), np.random.default_rng(4)
         rows = [split2.integers(0, 64, size=(k, 3)) for k in (4, 9)]
         assert np.array_equal(np.vstack(rows), whole2.integers(0, 64, size=(13, 3)))
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CappedProcess(n=8, capacity=1, lam=0.5, rng=0, kernel="turbo")
-        with pytest.raises(ConfigurationError):
-            CappedDChoiceProcess(n=8, capacity=1, lam=0.5, rng=0, kernel="turbo")
 
 
 class TestDChoiceFusedVsLegacy:
@@ -130,25 +126,25 @@ class TestDChoiceFusedVsLegacy:
         ids=lambda c: str(sorted(c.items())),
     )
     def test_independent_streams_same_seed(self, config):
-        def run(kernel):
+        def run(process_cls):
             rng = RngFactory(3).child(0).generator("capped-dchoice")
-            process = CappedDChoiceProcess(rng=rng, kernel=kernel, **config)
+            process = process_cls(rng=rng, **config)
             records = [process.step() for _ in range(200)]
             process.check_invariants()
             return records, process
 
-        fused, p1 = run("fused")
-        legacy, p2 = run("legacy")
+        fused, p1 = run(CappedDChoiceProcess)
+        legacy, p2 = run(SweepDChoiceProcess)
         for a, b in zip(fused, legacy):
             assert_records_equal(a, b, context=f"round {a.round}: {config}")
         assert np.array_equal(p1.bins.loads, p2.bins.loads)
 
     def test_identical_injected_choices(self):
         # Injected choices are the committed bins: no probes are drawn, and
-        # both kernels must resolve them identically.
+        # both paths must resolve them identically.
         n, lam = 32, 0.875
-        fused = CappedDChoiceProcess(n=n, capacity=3, lam=lam, rng=0, kernel="fused")
-        legacy = CappedDChoiceProcess(n=n, capacity=3, lam=lam, rng=0, kernel="legacy")
+        fused = CappedDChoiceProcess(n=n, capacity=3, lam=lam, rng=0)
+        legacy = SweepDChoiceProcess(n=n, capacity=3, lam=lam, rng=0)
         choice_rng = np.random.default_rng(42)
         for _ in range(120):
             thrown = fused.pool.size + round(lam * n)
@@ -158,10 +154,8 @@ class TestDChoiceFusedVsLegacy:
 
 
 class TestFusedUnderFaults:
-    def run_faulty(self, kernel, schedule):
-        process = CappedProcess(
-            n=128, capacity=2, lam=0.9375, rng=11, initial_pool=40, kernel=kernel
-        )
+    def run_faulty(self, process_cls, schedule):
+        process = process_cls(n=128, capacity=2, lam=0.9375, rng=11, initial_pool=40)
         trace = TraceRecorder()
         driver = SimulationDriver(burn_in=0, measure=120, observers=[trace, Injector(schedule)])
         driver.run(process)
@@ -180,8 +174,8 @@ class TestFusedUnderFaults:
             ),
             seed=5,
         )
-        fused_trace, p1 = self.run_faulty("fused", schedule)
-        legacy_trace, p2 = self.run_faulty("legacy", schedule)
+        fused_trace, p1 = self.run_faulty(CappedProcess, schedule)
+        legacy_trace, p2 = self.run_faulty(SweepCappedProcess, schedule)
         assert fused_trace.pool_sizes() == legacy_trace.pool_sizes()
         for a, b in zip(fused_trace.records, legacy_trace.records):
             assert_records_equal(a, b, context=f"round {a.round}")

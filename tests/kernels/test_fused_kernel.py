@@ -16,19 +16,16 @@ import pytest
 
 from repro.balls.bin_array import BinArray
 from repro.core.capped import CappedProcess
-from repro.kernels import (
-    positional_waits,
-    resolve_capped_round,
-    resolve_capped_round_serial,
-    wait_histogram,
-)
+from repro.kernels import resolve_capped_round, resolve_capped_round_serial
 
 from tests.kernels.test_fused_equivalence import assert_records_equal
+from tests.oracles import SweepCappedProcess, positional_waits
+from tests.rounds import fill
 
 
 def as_hist(waits):
     """Sorted ``[values], [counts]`` of a list of waits, as plain lists."""
-    values, counts = wait_histogram(np.asarray(waits, dtype=np.int64))
+    values, counts = np.unique(np.asarray(waits, dtype=np.int64), return_counts=True)
     return values.tolist(), counts.tolist()
 
 
@@ -231,8 +228,7 @@ def bins_round(capacity, loads, rng, down=(), sealed=()):
     """A random round on a real BinArray: its ceiling and frozen mask."""
     n = len(loads)
     bins = BinArray(n, capacity=capacity)
-    bins.accept(np.asarray(loads, dtype=np.int64))
-    assert bins.loads.tolist() == list(loads)
+    fill(bins, loads)
     bins.set_down(list(down))
     bins.seal(list(sealed))
     counts = [int(x) for x in rng.integers(0, 3 * n, size=int(rng.integers(1, 5)))]
@@ -304,9 +300,9 @@ class TestRoundsOffTheSteadyState:
         # A c = 1 process whose bins start a round loaded must not take the
         # unit-take kernel, which assumes every bin is empty.
         runs = []
-        for kernel in ("fused", "legacy"):
-            process = CappedProcess(n=32, capacity=1, lam=0.5, rng=3, kernel=kernel)
-            process.bins.accept(np.array([1, 0, 0, 1] * 8, dtype=np.int64))
+        for process_cls in (CappedProcess, SweepCappedProcess):
+            process = process_cls(n=32, capacity=1, lam=0.5, rng=3)
+            fill(process.bins, [1, 0, 0, 1] * 8)
             runs.append([process.step() for _ in range(4)])
             process.check_invariants()
         for a, b in zip(*runs):

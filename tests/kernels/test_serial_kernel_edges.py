@@ -7,7 +7,8 @@ produce through :class:`~repro.balls.bin_array.BinArray` (which enforces
 ``capacity >= 1``): zero-capacity keys, mixtures of tiny/huge ceilings,
 and bucket layouts sized to hit the tiny/sparse/dense code paths in one
 round. Separately: through a fleet-wide outage (every bin down) the
-serial kernel freezes every bin and must still match legacy bit for bit.
+serial kernel freezes every bin and must still match the per-bucket
+reference sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.engine.observers import TraceRecorder
 from repro.kernels.round import resolve_capped_round_serial
 
 from tests.kernels.test_fused_equivalence import assert_records_equal
+from tests.oracles import SweepCappedProcess
 
 
 def naive_round(loads, capacity_limit, bucket_keys, bucket_ages, hist_size):
@@ -146,20 +148,20 @@ class TestHeterogeneousCeilings:
 
 
 class TestFleetWideOutage:
-    def run_with_outage(self, kernel):
+    def run_with_outage(self, process_cls):
         # Crash every bin at once: the serial kernel freezes them all and
-        # must still match legacy exactly through the outage and the
-        # recovery.
+        # must still match the reference sweep exactly through the outage
+        # and the recovery.
         schedule = Schedule(events=(CrashBurst(at_round=15, fraction=1.0, duration=20),), seed=3)
-        process = CappedProcess(n=64, capacity=2, lam=0.9375, rng=9, initial_pool=30, kernel=kernel)
+        process = process_cls(n=64, capacity=2, lam=0.9375, rng=9, initial_pool=30)
         trace = TraceRecorder()
         SimulationDriver(burn_in=0, measure=80, observers=[trace, Injector(schedule)]).run(process)
         process.check_invariants()
         return trace, process
 
     def test_all_bins_down_matches_legacy(self):
-        fused_trace, p1 = self.run_with_outage("fused")
-        legacy_trace, p2 = self.run_with_outage("legacy")
+        fused_trace, p1 = self.run_with_outage(CappedProcess)
+        legacy_trace, p2 = self.run_with_outage(SweepCappedProcess)
         for a, b in zip(fused_trace.records, legacy_trace.records):
             assert_records_equal(a, b, context=f"round {a.round}")
         assert np.array_equal(p1.bins.loads, p2.bins.loads)

@@ -2,9 +2,8 @@
 
 Hypothesis drives the exact-equivalence contract over randomly drawn
 small configurations: the fused path (one whole-round kernel call per
-round) produces
-``RoundRecord`` streams bit-identical to ``kernel="legacy"`` on random
-``(n, c, λ)`` grids.
+round) produces ``RoundRecord`` streams bit-identical to the per-bucket
+reference sweep (``tests/oracles.py``) on random ``(n, c, λ)`` grids.
 """
 
 import hypothesis.strategies as st
@@ -13,6 +12,8 @@ from hypothesis import given, settings
 
 from repro.core.capped import CappedProcess
 from repro.rng import RngFactory
+
+from tests.oracles import SweepCappedProcess
 
 # n, c, lambda numerator (lam = k/n). c = 1 covers the unit-take kernel
 # (and the serial kernel on rounds that start with loaded bins), c >= 2 the
@@ -46,12 +47,8 @@ def test_fused_matches_legacy_on_random_grid(config, seed, rounds):
     fused = CappedProcess(
         n=n, capacity=c, lam=lam, rng=RngFactory(seed).child(0).generator("capped")
     )
-    legacy = CappedProcess(
-        n=n,
-        capacity=c,
-        lam=lam,
-        rng=RngFactory(seed).child(0).generator("capped"),
-        kernel="legacy",
+    legacy = SweepCappedProcess(
+        n=n, capacity=c, lam=lam, rng=RngFactory(seed).child(0).generator("capped")
     )
     for _ in range(rounds):
         assert_same_record(fused.step(), legacy.step(), context=(config, seed))

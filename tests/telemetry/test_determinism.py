@@ -2,10 +2,8 @@
 
 The zero-interference contract (docs/observability.md): enabling telemetry
 — registry, phase clocks, spans, sinks — produces exactly the same
-trajectories and summaries as running without it, for every kernel.
+trajectories and summaries as running without it.
 """
-
-import pytest
 
 from repro import telemetry
 from repro.core.capped import CappedProcess
@@ -13,8 +11,8 @@ from repro.engine.driver import SimulationDriver
 from repro.telemetry import JsonlEventSink
 
 
-def run_capped(kernel: str):
-    process = CappedProcess(n=64, capacity=2, lam=0.75, rng=7, kernel=kernel)
+def run_capped():
+    process = CappedProcess(n=64, capacity=2, lam=0.75, rng=7)
     driver = SimulationDriver(burn_in=30, measure=60)
     result = driver.run(process)
     return (
@@ -25,17 +23,16 @@ def run_capped(kernel: str):
     )
 
 
-@pytest.mark.parametrize("kernel", ["fused", "legacy"])
-def test_capped_bit_identical_with_telemetry(kernel, tmp_path):
-    baseline = run_capped(kernel)
+def test_capped_bit_identical_with_telemetry(tmp_path):
+    baseline = run_capped()
     with telemetry.session(sinks=[JsonlEventSink(tmp_path / "events.jsonl")]) as tel:
-        instrumented = run_capped(kernel)
-        assert tel.registry.counter("rounds_total").value(kernel=kernel) == 90.0
+        instrumented = run_capped()
+        assert tel.registry.counter("rounds_total").value(kernel="fused") == 90.0
     assert instrumented == baseline
 
 
 def test_back_to_back_sessions_do_not_interfere():
-    baseline = run_capped("fused")
+    baseline = run_capped()
     with telemetry.session():
         pass
-    assert run_capped("fused") == baseline
+    assert run_capped() == baseline

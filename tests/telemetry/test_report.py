@@ -46,14 +46,13 @@ class TestPhaseAttribution:
         assert row["coverage"] == 0.0
 
 
-@pytest.mark.parametrize("kernel", ["fused", "legacy"])
-def test_live_run_coverage_meets_bar(kernel):
+def test_live_run_coverage_meets_bar():
     """Acceptance: named phases attribute >= 95% of measured round time."""
     with telemetry.session() as tel:
-        process = CappedProcess(n=128, capacity=2, lam=0.75, rng=3, kernel=kernel)
+        process = CappedProcess(n=128, capacity=2, lam=0.75, rng=3)
         SimulationDriver(burn_in=40, measure=80).run(process)
         rows = phase_attribution(tel.registry.snapshot())
-    (row,) = [r for r in rows if r["labels"].get("kernel") == kernel]
+    (row,) = [r for r in rows if r["labels"].get("kernel") == "fused"]
     assert row["rounds"] == 120
     assert row["coverage"] >= 0.95
 
