@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
 from repro.errors import InvariantViolation
 
 __all__ = ["AgePool"]
@@ -129,21 +127,10 @@ class AgePool:
         """Counts aligned with :meth:`labels` (a copy)."""
         return list(self._counts)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Labels and counts as aligned int64 arrays, oldest first.
-
-        The age-major snapshot the fused round kernel consumes; both
-        arrays are fresh copies, safe against later pool mutation.
-        """
-        return (
-            np.asarray(self._labels, dtype=np.int64),
-            np.asarray(self._counts, dtype=np.int64),
-        )
-
-    def remove_bulk(self, removed) -> None:
+    def remove_bulk(self, removed: list[int]) -> None:
         """Remove ``removed[i]`` balls from the i-th bucket (oldest first).
 
-        The counterpart of :meth:`as_arrays`: one call commits a whole
+        The counterpart of :meth:`counts`: one call commits a whole
         round's per-bucket acceptance counts, in O(#buckets) total instead
         of one :meth:`remove` lookup per bucket.
 
@@ -153,27 +140,15 @@ class AgePool:
             If ``removed`` is not aligned with the current buckets or any
             entry exceeds its bucket's count.
         """
-        if type(removed) is list:
-            # Serial-kernel fast path: per-bucket counts arrive as plain
-            # ints, so skip the array round-trip entirely.
-            removed_list = removed
-        else:
-            removed = np.atleast_1d(np.asarray(removed, dtype=np.int64))
-            if removed.ndim != 1:
-                raise InvariantViolation(
-                    f"bulk removal of {removed.shape} entries does not match "
-                    f"{len(self._labels)} buckets"
-                )
-            removed_list = removed.tolist()
-        if len(removed_list) != len(self._labels):
+        if len(removed) != len(self._labels):
             raise InvariantViolation(
-                f"bulk removal of {len(removed_list)} entries does not match "
+                f"bulk removal of {len(removed)} entries does not match "
                 f"{len(self._labels)} buckets"
             )
         kept_labels: list[int] = []
         kept_counts: list[int] = []
         total = 0
-        for label, have, take in zip(self._labels, self._counts, removed_list):
+        for label, have, take in zip(self._labels, self._counts, removed):
             if take < 0 or take > have:
                 raise InvariantViolation(
                     f"cannot remove {take} balls labeled {label}: bucket holds {have}"
