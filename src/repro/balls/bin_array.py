@@ -465,12 +465,6 @@ class BinArray:
         self._hist_cache = None
         return displaced
 
-    def reset(self) -> None:
-        """Empty all bins."""
-        self.loads[:] = 0
-        self._total_load = 0
-        self._hist_cache = None
-
     def get_state(self) -> dict:
         """Snapshot for checkpoint/restore.
 

@@ -25,6 +25,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -1006,8 +1007,12 @@ def _cmd_worker(args, out) -> int:
             log=None if args.quiet else sys.stderr,
             telemetry=args.telemetry,
         )
-        worker.install_signal_handlers()
-        return worker.run()
+        previous = worker.install_signal_handlers()
+        try:
+            return worker.run()
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
     except DistributedError as err:
         # Covers both construction (bad address) and a broker that
         # rejected the session outright (auth/protocol mismatch).

@@ -263,17 +263,23 @@ class Worker:
             self.log.write(f"[{self.worker_id}] {message}\n")
             self.log.flush()
 
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT drain finished results (bounded), then exit."""
+    def install_signal_handlers(self) -> dict[int, Any]:
+        """SIGTERM/SIGINT drain finished results (bounded), then exit.
+
+        Returns the replaced handlers, so that a caller running the worker
+        in-process can put them back when :meth:`run` returns.
+        """
 
         def handle(signum: int, frame: Any) -> None:
             self._stop = True
 
+        previous: dict[int, Any] = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
-                signal.signal(sig, handle)
+                previous[sig] = signal.signal(sig, handle)
             except ValueError:  # not the main thread (tests)
-                return
+                break
+        return previous
 
     # ------------------------------------------------------------------
     # slot threads

@@ -80,6 +80,17 @@ __all__ = ["ExperimentRunner", "RunnerReport", "TaskFailure", "run_experiments"]
 Item = tuple[Callable[[dict], dict], dict]
 
 
+def _reset_worker_signals() -> None:
+    """Pool-worker initializer: drop the signal handlers forked from the parent.
+
+    A worker forked while :meth:`ExperimentRunner.run` holds its shutdown
+    handler would otherwise inherit it, and a ``terminate()`` of a hung
+    worker would only set a flag in that worker's copy of the runner.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 @dataclass(frozen=True)
 class TaskFailure:
     """Terminal failure of one task after its retry budget was spent."""
@@ -271,6 +282,11 @@ class ExperimentRunner:
     SIGINT/SIGTERM stop the sweep at the next task boundary — the journal
     (flushed per entry) and any task checkpoints are preserved for
     ``--resume`` — by raising :class:`~repro.errors.GracefulShutdown`.
+    Pool workers start with SIGTERM at its default action and SIGINT
+    ignored. So the ``terminate()`` sent to a worker that outran
+    ``task_timeout`` kills it, even mid-task; and Ctrl-C on the process
+    group leaves the workers running and stops the sweep through this
+    process, at the next task boundary.
     """
 
     def __init__(
@@ -516,7 +532,7 @@ class ExperimentRunner:
                     (fn, payload, attempts, time.monotonic() + self._backoff_seconds(attempts, rng))
                 )
 
-        pool = ProcessPoolExecutor(max_workers=width)
+        pool = ProcessPoolExecutor(max_workers=width, initializer=_reset_worker_signals)
         rebuilds = 0
         # future -> (function, payload, attempts including this execution, deadline)
         running: dict[Any, tuple[Callable[[dict], dict], dict, int, float | None]] = {}
@@ -634,7 +650,7 @@ class ExperimentRunner:
                         carried = [(fn, p, a) for fn, p, a, _ in pending]
                         yield from self._run_serial(queue, report, carried)
                         return
-                    pool = ProcessPoolExecutor(max_workers=width)
+                    pool = ProcessPoolExecutor(max_workers=width, initializer=_reset_worker_signals)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 

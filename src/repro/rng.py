@@ -20,11 +20,11 @@ streams.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngFactory", "resolve_rng", "spawn_children"]
+__all__ = ["RngFactory", "resolve_rng"]
 
 
 def _stable_key_hash(key: str) -> int:
@@ -61,7 +61,6 @@ class RngFactory:
     """
 
     seed: int
-    _counter: int = field(default=0, init=False, repr=False)
 
     def generator(self, name: str = "") -> np.random.Generator:
         """Return a fresh generator for the stream called ``name``.
@@ -71,15 +70,6 @@ class RngFactory:
         """
         entropy = (self.seed, _stable_key_hash(name))
         return np.random.default_rng(np.random.SeedSequence(entropy))
-
-    def sequential(self) -> np.random.Generator:
-        """Return a generator from an internal, call-order-dependent stream.
-
-        Use for throwaway randomness where only global reproducibility of
-        the factory's call sequence matters.
-        """
-        self._counter += 1
-        return np.random.default_rng(np.random.SeedSequence((self.seed, 0xC0FFEE, self._counter)))
 
     def child(self, index: int) -> "RngFactory":
         """Derive a child factory, e.g. one per replicate of a sweep."""
@@ -106,15 +96,3 @@ def resolve_rng(
     if isinstance(rng, (int, np.integer)):
         return RngFactory(seed=int(rng)).generator(name)
     raise TypeError(f"cannot build a random generator from {type(rng).__name__}")
-
-
-def spawn_children(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` statistically independent generators.
-
-    The parent generator is consumed (advanced) in the process, so the
-    children do not overlap with future draws from the parent.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

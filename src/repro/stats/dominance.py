@@ -3,12 +3,9 @@
 The paper's pool-size analysis rests on coupling lemmas (Lemmas 1 and 6):
 under the constructed coupling, the pool size of CAPPED is *pointwise* at
 most the pool size of MODCAPPED in every round, which implies stochastic
-dominance of the marginals. This module provides
-
-* :func:`coupled_dominance_report` — the pointwise check for coupled runs
-  (the strongest possible empirical validation of the lemmas), and
-* :func:`stochastically_dominates` — a CDF-based first-order dominance check
-  for *independent* samples, used when comparing uncoupled runs.
+dominance of the marginals. :func:`coupled_dominance_report` checks the
+pointwise inequality on coupled runs, the strongest possible empirical
+validation of the lemmas.
 """
 
 from __future__ import annotations
@@ -17,43 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "empirical_cdf", "stochastically_dominates", "coupled_dominance_report", "DominanceReport"
-]
-
-
-def empirical_cdf(samples: np.ndarray | list[float]):
-    """Return a vectorised empirical CDF function for ``samples``."""
-    data = np.sort(np.asarray(samples, dtype=float))
-    if data.size == 0:
-        raise ValueError("cannot build a CDF from no samples")
-
-    def cdf(x):
-        return np.searchsorted(data, x, side="right") / data.size
-
-    return cdf
-
-
-def stochastically_dominates(
-    larger: np.ndarray | list[float],
-    smaller: np.ndarray | list[float],
-    tolerance: float = 0.0,
-) -> bool:
-    """First-order dominance check: ``larger ⪰ smaller``.
-
-    Returns ``True`` if the empirical CDF of ``larger`` lies below (at most
-    ``tolerance`` above) that of ``smaller`` everywhere, i.e.
-    ``F_larger(x) ≤ F_smaller(x) + tolerance`` for all x. A positive
-    tolerance absorbs sampling noise when the samples are independent.
-    """
-    big = np.asarray(larger, dtype=float)
-    small = np.asarray(smaller, dtype=float)
-    if big.size == 0 or small.size == 0:
-        raise ValueError("need samples on both sides")
-    grid = np.union1d(big, small)
-    cdf_big = empirical_cdf(big)
-    cdf_small = empirical_cdf(small)
-    return bool(np.all(cdf_big(grid) <= cdf_small(grid) + tolerance))
+__all__ = ["coupled_dominance_report", "DominanceReport"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,7 @@
 """Confidence intervals for experiment reporting.
 
-The experiment harness reports means over replicated runs; these helpers
-attach normal-approximation and bootstrap confidence intervals.
+The experiment harness reports means over replicated runs; :func:`normal_ci`
+attaches a normal-approximation confidence interval.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rng import resolve_rng
-
-__all__ = ["ConfidenceInterval", "normal_ci", "bootstrap_ci"]
+__all__ = ["ConfidenceInterval", "normal_ci"]
 
 # Two-sided standard-normal quantiles for common confidence levels. scipy is
 # an optional dependency, so we keep a small table and interpolate.
@@ -99,39 +97,3 @@ def normal_ci(samples: np.ndarray | list[float], confidence: float = 0.95) -> Co
     sem = float(data.std(ddof=1)) / math.sqrt(data.size)
     z = _z_value(confidence)
     return ConfidenceInterval(mean, mean - z * sem, mean + z * sem, confidence)
-
-
-def bootstrap_ci(
-    samples: np.ndarray | list[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    statistic=np.mean,
-    rng=None,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap CI for an arbitrary ``statistic``.
-
-    Parameters
-    ----------
-    samples:
-        Observed values.
-    resamples:
-        Number of bootstrap resamples.
-    statistic:
-        Callable mapping an array to a scalar (default: mean).
-    rng:
-        Anything accepted by :func:`repro.rng.resolve_rng`.
-    """
-    data = np.asarray(samples, dtype=float)
-    if data.size == 0:
-        raise ValueError("cannot bootstrap from no samples")
-    if resamples < 1:
-        raise ValueError(f"resamples must be positive, got {resamples}")
-    generator = resolve_rng(rng, "bootstrap")
-    estimate = float(statistic(data))
-    if data.size == 1:
-        return ConfidenceInterval(estimate, estimate, estimate, confidence)
-    idx = generator.integers(0, data.size, size=(resamples, data.size))
-    stats = np.apply_along_axis(statistic, 1, data[idx])
-    alpha = (1 - confidence) / 2
-    low, high = np.quantile(stats, [alpha, 1 - alpha])
-    return ConfidenceInterval(estimate, float(low), float(high), confidence)

@@ -1,30 +1,17 @@
 """Finite Markov-chain utilities.
 
 The fluid-limit analysis reduces a bin of CAPPED(c, λ) to a (c+1)-state
-Markov chain; the coupling argument reasons about hitting times; burn-in
-questions are mixing-time questions. This module provides the small set of
-exact finite-chain tools those uses need:
-
-* :func:`stationary_distribution` — the stationary row vector, via direct
-  linear solve (exact for the small chains here) with a power-iteration
-  fallback for larger matrices.
-* :func:`total_variation` — TV distance between distributions.
-* :func:`mixing_time` — rounds until the worst-case TV distance to
-  stationarity drops below ε, by explicit propagation.
-* :func:`expected_hitting_times` — expected steps to reach a target state.
+Markov chain (:mod:`repro.core.meanfield`). This module checks such a
+transition matrix (:func:`validate_transition_matrix`) and finds its
+stationary row vector by a direct least-squares solve, exact for the small
+chains here (:func:`stationary_distribution`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "validate_transition_matrix",
-    "stationary_distribution",
-    "total_variation",
-    "mixing_time",
-    "expected_hitting_times",
-]
+__all__ = ["validate_transition_matrix", "stationary_distribution"]
 
 
 def validate_transition_matrix(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -59,64 +46,3 @@ def stationary_distribution(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarra
     if total <= tol:
         raise ValueError("failed to find a stationary distribution")
     return solution / total
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance ``½·Σ|p − q|``."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def mixing_time(
-    matrix: np.ndarray,
-    epsilon: float = 0.25,
-    max_steps: int = 100_000,
-) -> int:
-    """Steps until the worst-start TV distance to π drops below ``epsilon``.
-
-    Propagates every point-mass start simultaneously (one matrix power per
-    step); exact for the small chains this library builds. Raises if the
-    chain has not mixed within ``max_steps`` (e.g. periodic chains).
-    """
-    transition = validate_transition_matrix(matrix)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    pi = stationary_distribution(transition)
-    size = transition.shape[0]
-    states = np.eye(size)
-    for step in range(1, max_steps + 1):
-        states = states @ transition
-        worst = max(total_variation(states[i], pi) for i in range(size))
-        if worst < epsilon:
-            return step
-    raise ValueError(f"chain did not mix within {max_steps} steps")
-
-
-def expected_hitting_times(matrix: np.ndarray, target: int) -> np.ndarray:
-    """Expected steps to first reach ``target`` from every state.
-
-    Solves the standard first-step equations ``h_i = 1 + Σ_j P_ij h_j``
-    (``h_target = 0``). States that cannot reach the target yield ``inf``.
-    """
-    transition = validate_transition_matrix(matrix)
-    size = transition.shape[0]
-    if not 0 <= target < size:
-        raise ValueError(f"target must be a state index in [0, {size}), got {target}")
-    others = [i for i in range(size) if i != target]
-    if not others:
-        return np.zeros(1)
-    reduced = transition[np.ix_(others, others)]
-    system = np.eye(len(others)) - reduced
-    ones = np.ones(len(others))
-    try:
-        solved = np.linalg.solve(system, ones)
-    except np.linalg.LinAlgError:
-        solved = np.full(len(others), np.inf)
-    hitting = np.zeros(size)
-    for index, state in enumerate(others):
-        value = solved[index]
-        hitting[state] = value if value >= 0 else np.inf
-    return hitting

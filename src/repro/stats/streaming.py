@@ -7,8 +7,6 @@ maintain constant-size summaries:
 * :class:`RunningStats` — Welford's online mean/variance plus min/max,
   with support for *weighted* bulk updates (the fast simulator reports an
   entire round's waiting times as per-value counts).
-* :class:`P2Quantile` — the P² algorithm of Jain & Chlamtac for a single
-  quantile without storing samples.
 * :class:`Histogram` — an integer-valued histogram with automatic growth,
   exact quantiles, and merge support (waiting times are small non-negative
   integers, so this is both exact and compact).
@@ -21,7 +19,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["RunningStats", "P2Quantile", "Histogram"]
+__all__ = ["RunningStats", "Histogram"]
 
 
 class RunningStats:
@@ -144,95 +142,6 @@ class RunningStats:
         self._count = total
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
-
-
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac, 1985).
-
-    Tracks an approximate ``q``-quantile using five markers and O(1) memory.
-    Falls back to exact order statistics until five observations have been
-    seen.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments: list[float] = []
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Number of observations seen."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Record a single observation."""
-        self._count += 1
-        if len(self._initial) < 5:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-                self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-            return
-
-    # ---- steady state ------------------------------------------------
-        h, pos = self._heights, self._positions
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1 and pos[i + 1] - pos[i] > 1) or (d <= -1 and pos[i - 1] - pos[i] < -1):
-                sign = 1.0 if d >= 1 else -1.0
-                candidate = self._parabolic(i, sign)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, sign)
-                pos[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + sign / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + sign) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - sign) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(sign)
-        return h[i] + sign * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact below five observations)."""
-        if self._count == 0:
-            return math.nan
-        if len(self._initial) < 5:
-            data = sorted(self._initial)
-            idx = min(len(data) - 1, int(self.q * len(data)))
-            return data[idx]
-        return self._heights[2]
 
 
 class Histogram:

@@ -4,8 +4,8 @@ The paper's main model generates exactly ``λn`` balls per round and requires
 ``λn ∈ ℕ``. Footnote 2 notes the results carry over to probabilistic
 generation with expected rate λ; related work uses binomial
 (Berenbrink et al., SPAA'00) and Poisson (Mitzenmacher) arrivals. This
-subpackage provides all of those plus bursty and scripted adversarial
-injectors for robustness experiments.
+subpackage provides all of those plus bursty, diurnal and scripted
+adversarial injectors for robustness experiments.
 """
 
 from repro.workloads.arrivals import (
@@ -15,11 +15,7 @@ from repro.workloads.arrivals import (
     BurstyArrivals,
     DeterministicArrivals,
     DiurnalArrivals,
-    HeavyTailedArrivals,
     PoissonArrivals,
-    StochasticDiurnalArrivals,
-    TraceArrivals,
-    make_arrivals,
 )
 
 __all__ = [
@@ -29,9 +25,5 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",
-    "StochasticDiurnalArrivals",
-    "HeavyTailedArrivals",
     "AdversarialArrivals",
-    "TraceArrivals",
-    "make_arrivals",
 ]

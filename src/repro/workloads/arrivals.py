@@ -8,8 +8,8 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -22,11 +22,7 @@ __all__ = [
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",
-    "StochasticDiurnalArrivals",
-    "HeavyTailedArrivals",
     "AdversarialArrivals",
-    "TraceArrivals",
-    "make_arrivals",
 ]
 
 
@@ -217,143 +213,3 @@ class DiurnalArrivals:
 
     def arrivals(self, round_index: int, rng: np.random.Generator) -> int:
         return int(round(self.rate_at(round_index) * self.n))
-
-
-@dataclass(frozen=True, slots=True)
-class StochasticDiurnalArrivals:
-    """Poisson arrivals modulated by a day/night cycle.
-
-    The instantaneous rate follows the same clamped sinusoid as
-    :class:`DiurnalArrivals` — ``λ(t) = base + amplitude·sin(2πt/period)``
-    — but the per-round count is ``Poisson(λ(t)·n)`` drawn from the
-    simulator's RNG, so identical seeds give identical traces (the
-    determinism contract churn scenarios rely on) while consecutive rounds
-    still fluctuate like real traffic.
-    """
-
-    n: int
-    base: float
-    amplitude: float
-    period: int
-
-    def __post_init__(self) -> None:
-        _check_lambda(self.base)
-        if self.amplitude < 0:
-            raise ConfigurationError(f"amplitude must be non-negative, got {self.amplitude}")
-        if self.period < 2:
-            raise ConfigurationError(f"period must be at least 2, got {self.period}")
-
-    @property
-    def mean_rate(self) -> float:
-        return self.base
-
-    def rate_at(self, round_index: int) -> float:
-        """Instantaneous rate in ``round_index`` (clamped to [0, 1])."""
-        import math
-
-        phase = 2.0 * math.pi * (round_index - 1) / self.period
-        return min(1.0, max(0.0, self.base + self.amplitude * math.sin(phase)))
-
-    def arrivals(self, round_index: int, rng: np.random.Generator) -> int:
-        return int(rng.poisson(self.rate_at(round_index) * self.n))
-
-
-@dataclass(frozen=True, slots=True)
-class HeavyTailedArrivals:
-    """A steady base rate plus rare heavy-tailed bursts (flash crowds).
-
-    Every round delivers the deterministic floor ``λn``; with probability
-    ``burst_prob`` a burst of ``round(min(burst_cap, 1 + Pareto(alpha)) ·
-    burst_scale · n)`` extra balls lands on top. ``alpha`` is the tail
-    index (smaller = heavier; ``alpha ≤ 1`` has infinite untruncated mean,
-    which is why ``burst_cap`` — in multiples of ``burst_scale·n`` — is
-    mandatory). All randomness comes from the simulator RNG, so the trace
-    is seed-deterministic.
-    """
-
-    n: int
-    lam: float
-    burst_prob: float = 0.05
-    alpha: float = 1.5
-    burst_scale: float = 0.5
-    burst_cap: float = 20.0
-
-    def __post_init__(self) -> None:
-        _check_lambda(self.lam)
-        if not 0.0 < self.burst_prob <= 1.0:
-            raise ConfigurationError(f"burst_prob must be in (0, 1], got {self.burst_prob}")
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.burst_scale <= 0.0:
-            raise ConfigurationError(f"burst_scale must be positive, got {self.burst_scale}")
-        if self.burst_cap < 1.0:
-            raise ConfigurationError(f"burst_cap must be >= 1, got {self.burst_cap}")
-
-    @property
-    def mean_burst_multiple(self) -> float:
-        """``E[min(burst_cap, 1 + Pareto(alpha))]`` — exact truncated mean.
-
-        ``X = 1 + Pareto(alpha)`` has survival ``P(X > x) = x^-alpha`` for
-        ``x >= 1``, so ``E[min(c, X)] = 1 + ∫₁^c x^-alpha dx``.
-        """
-        import math
-
-        c, a = self.burst_cap, self.alpha
-        if a == 1.0:
-            return 1.0 + math.log(c)
-        return 1.0 + (1.0 - c ** (1.0 - a)) / (a - 1.0)
-
-    @property
-    def mean_rate(self) -> float:
-        return self.lam + self.burst_prob * self.burst_scale * self.mean_burst_multiple
-
-    def arrivals(self, round_index: int, rng: np.random.Generator) -> int:
-        count = round(self.lam * self.n)
-        if rng.random() < self.burst_prob:
-            size = min(self.burst_cap, 1.0 + rng.pareto(self.alpha))
-            count += round(size * self.burst_scale * self.n)
-        return int(count)
-
-
-@dataclass(frozen=True, slots=True)
-class TraceArrivals:
-    """Replays a fixed arrival trace, then repeats it cyclically."""
-
-    n: int
-    trace: Sequence[int] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.trace:
-            raise ConfigurationError("trace must be non-empty")
-        if any(x < 0 for x in self.trace):
-            raise ConfigurationError("trace entries must be non-negative")
-
-    @property
-    def mean_rate(self) -> float:
-        return sum(self.trace) / (len(self.trace) * self.n)
-
-    def arrivals(self, round_index: int, rng: np.random.Generator) -> int:
-        return int(self.trace[(round_index - 1) % len(self.trace)])
-
-
-def make_arrivals(kind: str, n: int, lam: float, **kwargs) -> ArrivalProcess:
-    """Factory mapping a string name to an arrival process.
-
-    Recognised kinds: ``deterministic`` (paper default), ``bernoulli``,
-    ``poisson``, ``diurnal`` (seeded Poisson with sinusoidal rate; ``lam``
-    becomes ``base``), and ``heavy_tailed`` (Pareto flash crowds). Extra
-    keyword arguments are forwarded to the constructor.
-    """
-    kinds = {
-        "deterministic": DeterministicArrivals,
-        "bernoulli": BernoulliArrivals,
-        "poisson": PoissonArrivals,
-        "heavy_tailed": HeavyTailedArrivals,
-    }
-    if kind == "diurnal":
-        return StochasticDiurnalArrivals(n=n, base=lam, **kwargs)
-    if kind not in kinds:
-        raise ConfigurationError(
-            f"unknown arrival kind {kind!r}; choose from {sorted(kinds) + ['diurnal']}"
-        )
-    return kinds[kind](n=n, lam=lam, **kwargs)

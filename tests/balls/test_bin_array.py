@@ -90,12 +90,6 @@ class TestAccounting:
         assert bins.total_accepted == 3
         assert bins.total_deleted == 2
 
-    def test_reset(self):
-        bins = BinArray(n=2, capacity=2)
-        run_round(bins, [2, 2])
-        bins.reset()
-        assert bins.total_load == 0
-
     def test_check_invariants_detects_overload(self):
         bins = BinArray(n=2, capacity=1)
         bins.loads[0] = 5  # simulate corruption

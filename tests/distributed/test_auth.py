@@ -10,6 +10,7 @@ role.
 
 from __future__ import annotations
 
+import signal
 import socket
 import threading
 
@@ -50,11 +51,14 @@ class TestAuthedFleet:
         from repro.cli import main
 
         broker = make_broker(auth_token=TOKEN)
+        before = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
         status = main(
             ["worker", broker.address, "--auth-token", "wrong", "--quiet", "--exit-when-idle"]
         )
         assert status == 2
         assert "auth" in capsys.readouterr().out
+        # The in-process worker put back the handlers it replaced.
+        assert {sig: signal.getsignal(sig) for sig in before} == before
 
     def test_missing_worker_token_exits_2_via_cli(self, make_broker, capsys):
         from repro.cli import main

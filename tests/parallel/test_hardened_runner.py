@@ -14,7 +14,9 @@ Two layers of tests:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from pathlib import Path
@@ -73,6 +75,13 @@ def _crash_marked_once(payload):
     if payload.get("crash") and _claim(payload):
         os._exit(13)
     return {"ok": payload["i"]}
+
+
+def _signal_defaults(payload):
+    return {
+        "sigterm_default": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        "sigint_ignored": signal.getsignal(signal.SIGINT) == signal.SIG_IGN,
+    }
 
 
 def _payloads(tmp_path, count):
@@ -155,6 +164,18 @@ class TestPooledFabric:
             assert "timed out" in failure.error
         assert report.pool_rebuilds >= 1
 
+    def test_workers_drop_inherited_signal_handlers(self, tmp_path):
+        # A worker forked while the runner's shutdown handler is installed
+        # must still die on terminate(), and leave Ctrl-C to the parent.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            runner = ExperimentRunner(profile=TINY, jobs=2)
+            _, outcomes = _run(runner, _signal_defaults, _payloads(tmp_path, 2))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        expected = {"sigterm_default": True, "sigint_ignored": True}
+        assert all(outcome == expected for outcome in outcomes.values())
+
     def test_killed_worker_breaks_pool_then_recovers(self, tmp_path):
         # max_retries is generous because a pool break charges every
         # in-flight task one attempt: a crasher can also be charged as an
@@ -199,6 +220,28 @@ class TestEndToEndChaos:
         assert not report.failures
         assert report.results[0].csv() == serial.csv()
         assert report.tasks_accounted >= report.tasks_total
+
+    def test_timed_out_worker_dies_with_its_pool(self, tmp_path, monkeypatch):
+        # run() forks the pool while its own SIGTERM handler is installed;
+        # the hung worker must still die on terminate(), so no child
+        # outlives the sweep by more than the pool's own teardown.
+        serial = run_experiment("fig4_left", TINY)
+        hang = 30.0
+        markers = tmp_path / "markers"
+        spec = ChaosSpec(action="hang", seconds=hang, times=1, marker_dir=str(markers))
+        monkeypatch.setenv(CHAOS_ENV, spec.to_env())
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        runner = ExperimentRunner(profile=TINY, jobs=2, task_timeout=2.0, retry_backoff=0.0)
+        report = runner.run(["fig4_left"])
+        assert (markers / "chaos-0.marker").exists()
+        assert report.pool_rebuilds >= 1
+        assert report.results[0].csv() == serial.csv()
+        deadline = started + hang / 2
+        while set(multiprocessing.active_children()) - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not set(multiprocessing.active_children()) - before
+        assert time.monotonic() < deadline
 
     def test_poisoned_task_is_quarantined_not_fatal(self, tmp_path, monkeypatch):
         # Every replicate-1 task fails deterministically (no marker dir →

@@ -1,56 +1,8 @@
 """Unit tests for stochastic-dominance utilities."""
 
-import numpy as np
 import pytest
 
-from repro.stats.dominance import (
-    coupled_dominance_report,
-    empirical_cdf,
-    stochastically_dominates,
-)
-
-
-class TestEmpiricalCdf:
-    def test_step_function_values(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0])
-        assert cdf(0.5) == 0.0
-        assert cdf(1.0) == pytest.approx(1 / 3)
-        assert cdf(2.5) == pytest.approx(2 / 3)
-        assert cdf(3.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    def test_vectorised_evaluation(self):
-        cdf = empirical_cdf([1.0, 2.0])
-        out = cdf(np.array([0.0, 1.5, 5.0]))
-        assert out.tolist() == [0.0, 0.5, 1.0]
-
-
-class TestStochasticDominance:
-    def test_shifted_sample_dominates(self, rng):
-        base = rng.normal(0, 1, 500)
-        assert stochastically_dominates(base + 2.0, base)
-
-    def test_not_dominating_in_reverse(self, rng):
-        base = rng.normal(0, 1, 500)
-        assert not stochastically_dominates(base, base + 2.0)
-
-    def test_identical_samples_dominate_weakly(self):
-        data = [1.0, 2.0, 3.0]
-        assert stochastically_dominates(data, data)
-
-    def test_tolerance_absorbs_small_crossings(self):
-        a = [1.0, 2.0, 3.0]
-        b = [1.1, 1.9, 3.0]
-        # Small CDF crossings; a strict check fails, a tolerant one passes.
-        assert not stochastically_dominates(a, b)
-        assert stochastically_dominates(a, b, tolerance=0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stochastically_dominates([], [1.0])
+from repro.stats.dominance import coupled_dominance_report
 
 
 class TestCoupledDominance:

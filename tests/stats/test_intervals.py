@@ -1,9 +1,8 @@
 """Unit tests for confidence intervals."""
 
-import numpy as np
 import pytest
 
-from repro.stats.intervals import bootstrap_ci, normal_ci
+from repro.stats.intervals import normal_ci
 
 
 class TestNormalCI:
@@ -43,33 +42,3 @@ class TestNormalCI:
     def test_str_renders(self):
         text = str(normal_ci([1.0, 2.0, 3.0]))
         assert "[" in text and "]" in text
-
-
-class TestBootstrapCI:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
-
-    def test_zero_resamples_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], resamples=0)
-
-    def test_single_sample_degenerates(self):
-        ci = bootstrap_ci([7.0], rng=0)
-        assert ci.low == ci.high == 7.0
-
-    def test_reproducible_with_seed(self):
-        data = [1.0, 5.0, 2.0, 8.0, 3.0]
-        a = bootstrap_ci(data, rng=42)
-        b = bootstrap_ci(data, rng=42)
-        assert (a.low, a.high) == (b.low, b.high)
-
-    def test_covers_estimate(self, rng):
-        data = rng.exponential(2.0, size=100)
-        ci = bootstrap_ci(data, rng=1)
-        assert ci.low <= ci.estimate <= ci.high
-
-    def test_custom_statistic(self, rng):
-        data = rng.normal(0, 1, size=200)
-        ci = bootstrap_ci(data, statistic=np.median, rng=2)
-        assert ci.estimate == pytest.approx(float(np.median(data)))

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.markov import (
-    expected_hitting_times,
-    mixing_time,
-    stationary_distribution,
-    total_variation,
-    validate_transition_matrix,
-)
+from repro.stats.markov import stationary_distribution, validate_transition_matrix
 
 
 def two_state(p: float, q: float) -> np.ndarray:
@@ -57,67 +51,23 @@ class TestStationary:
         assert np.allclose(pi @ matrix, pi, atol=1e-9)
 
 
-class TestTotalVariation:
-    def test_identical_is_zero(self):
-        assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
-
-    def test_disjoint_is_one(self):
-        assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            total_variation([1.0], [0.5, 0.5])
-
-
 class TestMixingTime:
-    def test_fast_chain_mixes_fast(self):
-        # Jumping straight to stationarity mixes in one step.
-        matrix = np.array([[0.3, 0.7], [0.3, 0.7]])
-        assert mixing_time(matrix) == 1
-
-    def test_slow_chain_mixes_slowly(self):
-        fast = mixing_time(two_state(0.4, 0.4), epsilon=0.01)
-        slow = mixing_time(two_state(0.01, 0.01), epsilon=0.01)
-        assert slow > 10 * fast
-
-    def test_periodic_chain_never_mixes(self):
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            mixing_time(flip, max_steps=100)
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            mixing_time(two_state(0.5, 0.5), epsilon=2.0)
-
     def test_capped_bin_chain_mixes_quickly(self):
         # The fluid-limit bin chain mixes in O(c) rounds — the separation
-        # of time scales behind the warm-start strategy.
+        # of time scales behind the warm-start strategy. Mixing time here is
+        # the first step at which the worst point-mass start is within total
+        # variation 0.05 of the stationary distribution.
         from repro.core.meanfield import bin_transition_matrix
 
+        steps = {}
         for c in (1, 2, 4):
-            steps = mixing_time(bin_transition_matrix(1.5, c), epsilon=0.05)
-            assert steps <= 6 * c + 6
-
-
-class TestHittingTimes:
-    def test_target_is_zero(self):
-        hitting = expected_hitting_times(two_state(0.5, 0.5), target=1)
-        assert hitting[1] == 0.0
-
-    def test_geometric_waiting(self):
-        # From state 0, hitting 1 needs Geometric(p) steps: mean 1/p.
-        p = 0.25
-        hitting = expected_hitting_times(two_state(p, 0.5), target=1)
-        assert hitting[0] == pytest.approx(1 / p)
-
-    def test_unreachable_target_is_infinite(self):
-        matrix = np.array([[1.0, 0.0], [0.5, 0.5]])
-        hitting = expected_hitting_times(matrix, target=1)
-        assert not np.isfinite(hitting[0])
-
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            expected_hitting_times(two_state(0.5, 0.5), target=7)
-
-    def test_single_state_chain(self):
-        assert expected_hitting_times(np.array([[1.0]]), target=0).tolist() == [0.0]
+            transition = bin_transition_matrix(1.5, c)
+            pi = stationary_distribution(transition)
+            states = np.eye(transition.shape[0])
+            for step in range(1, 1001):
+                states = states @ transition
+                if 0.5 * np.abs(states - pi).sum(axis=1).max() < 0.05:
+                    break
+            assert step <= 6 * c + 6
+            steps[c] = step
+        assert steps == {1: 1, 2: 3, 4: 9}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats.streaming import Histogram, P2Quantile, RunningStats
+from repro.stats.streaming import Histogram, RunningStats
 
 
 class TestRunningStats:
@@ -71,41 +71,6 @@ class TestRunningStats:
         a.add(5.0)
         a.merge(b)
         assert a.count == 1
-
-
-class TestP2Quantile:
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.5)
-
-    def test_small_sample_exact(self):
-        est = P2Quantile(0.5)
-        for value in [5.0, 1.0, 3.0]:
-            est.add(value)
-        assert est.value == 3.0
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    def test_median_of_uniform(self, rng):
-        est = P2Quantile(0.5)
-        for value in rng.uniform(0, 1, size=5000):
-            est.add(float(value))
-        assert est.value == pytest.approx(0.5, abs=0.05)
-
-    def test_p99_of_exponential(self, rng):
-        est = P2Quantile(0.99)
-        data = rng.exponential(1.0, size=20_000)
-        for value in data:
-            est.add(float(value))
-        true_p99 = -math.log(0.01)
-        assert est.value == pytest.approx(true_p99, rel=0.15)
-
-    def test_count(self):
-        est = P2Quantile(0.5)
-        for _ in range(7):
-            est.add(1.0)
-        assert est.count == 7
 
 
 class TestHistogram:

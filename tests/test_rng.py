@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import RngFactory, resolve_rng, spawn_children
+from repro.rng import RngFactory, resolve_rng
 
 
 class TestRngFactory:
@@ -30,12 +30,6 @@ class TestRngFactory:
         second = factory.generator("s")
         third = factory.generator("s")
         assert second.integers(1 << 30) == third.integers(1 << 30)
-
-    def test_sequential_streams_differ(self):
-        factory = RngFactory(seed=3)
-        a = factory.sequential()
-        b = factory.sequential()
-        assert list(a.integers(1 << 30, size=8)) != list(b.integers(1 << 30, size=8))
 
     def test_child_factories_independent(self):
         parent = RngFactory(seed=3)
@@ -73,20 +67,3 @@ class TestResolveRng:
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             resolve_rng("seed")  # type: ignore[arg-type]
-
-
-class TestSpawnChildren:
-    def test_count(self, rng):
-        assert len(spawn_children(rng, 5)) == 5
-
-    def test_children_distinct(self, rng):
-        children = spawn_children(rng, 10)
-        first_draws = {int(child.integers(1 << 40)) for child in children}
-        assert len(first_draws) == 10
-
-    def test_zero_children(self, rng):
-        assert spawn_children(rng, 0) == []
-
-    def test_negative_rejected(self, rng):
-        with pytest.raises(ValueError):
-            spawn_children(rng, -1)

@@ -10,11 +10,7 @@ from repro.workloads.arrivals import (
     BernoulliArrivals,
     BurstyArrivals,
     DeterministicArrivals,
-    HeavyTailedArrivals,
     PoissonArrivals,
-    StochasticDiurnalArrivals,
-    TraceArrivals,
-    make_arrivals,
 )
 
 
@@ -93,136 +89,3 @@ class TestAdversarial:
         arrivals = AdversarialArrivals(n=10, schedule=lambda t: -1)
         with pytest.raises(ConfigurationError):
             arrivals.arrivals(1, rng)
-
-
-class TestTrace:
-    def test_cycles(self, rng):
-        arrivals = TraceArrivals(n=10, trace=(1, 2, 3))
-        assert [arrivals.arrivals(t, rng) for t in range(1, 8)] == [1, 2, 3, 1, 2, 3, 1]
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TraceArrivals(n=10, trace=())
-
-    def test_mean_rate(self):
-        assert TraceArrivals(n=10, trace=(5, 15)).mean_rate == pytest.approx(1.0)
-
-
-class TestFactory:
-    def test_known_kinds(self):
-        assert isinstance(make_arrivals("deterministic", 10, 0.5), DeterministicArrivals)
-        assert isinstance(make_arrivals("bernoulli", 10, 0.5), BernoulliArrivals)
-        assert isinstance(make_arrivals("poisson", 10, 0.5), PoissonArrivals)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_arrivals("weird", 10, 0.5)
-
-
-class TestStochasticDiurnal:
-    def test_mean_tracks_rate_at(self):
-        arrivals = StochasticDiurnalArrivals(n=1000, base=0.5, amplitude=0.3, period=48)
-        rng = np.random.default_rng(0)
-        for t in (1, 13, 25, 37):
-            draws = [arrivals.arrivals(t, np.random.default_rng(s)) for s in range(200)]
-            expected = arrivals.rate_at(t) * 1000
-            assert abs(np.mean(draws) - expected) < 0.05 * max(expected, 1.0)
-        assert arrivals.arrivals(1, rng) >= 0
-
-    def test_rate_clamped_to_unit_interval(self):
-        arrivals = StochasticDiurnalArrivals(n=100, base=0.9, amplitude=0.5, period=10)
-        rates = [arrivals.rate_at(t) for t in range(1, 11)]
-        assert max(rates) == 1.0
-        assert min(rates) >= 0.0
-
-    def test_period_phase(self):
-        arrivals = StochasticDiurnalArrivals(n=100, base=0.5, amplitude=0.2, period=24)
-        assert arrivals.rate_at(1) == pytest.approx(0.5)  # sin(0) at round 1
-        assert arrivals.rate_at(7) == pytest.approx(0.7)  # quarter period: peak
-        assert arrivals.rate_at(25) == pytest.approx(arrivals.rate_at(1))
-
-    def test_seeded_determinism(self):
-        arrivals = StochasticDiurnalArrivals(n=500, base=0.5, amplitude=0.3, period=12)
-        a = [arrivals.arrivals(t, np.random.default_rng(7)) for t in range(1, 6)]
-        b = [arrivals.arrivals(t, np.random.default_rng(7)) for t in range(1, 6)]
-        assert a == b
-
-    def test_mean_rate_is_base(self):
-        assert StochasticDiurnalArrivals(n=10, base=0.4, amplitude=0.1, period=6).mean_rate == 0.4
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StochasticDiurnalArrivals(n=10, base=1.5, amplitude=0.1, period=6)
-        with pytest.raises(ConfigurationError):
-            StochasticDiurnalArrivals(n=10, base=0.5, amplitude=-0.1, period=6)
-        with pytest.raises(ConfigurationError):
-            StochasticDiurnalArrivals(n=10, base=0.5, amplitude=0.1, period=1)
-
-
-class TestHeavyTailed:
-    def test_floor_without_burst(self):
-        # burst_prob tiny: almost every round is the deterministic floor.
-        arrivals = HeavyTailedArrivals(n=100, lam=0.5, burst_prob=1e-12)
-        rng = np.random.default_rng(3)
-        assert all(arrivals.arrivals(t, rng) == 50 for t in range(1, 50))
-
-    def test_bursts_bounded_by_cap(self):
-        arrivals = HeavyTailedArrivals(
-            n=100, lam=0.5, burst_prob=1.0, alpha=0.8, burst_scale=0.5, burst_cap=10.0
-        )
-        rng = np.random.default_rng(4)
-        ceiling = 50 + round(10.0 * 0.5 * 100)
-        draws = [arrivals.arrivals(t, rng) for t in range(1, 200)]
-        assert all(50 < d <= ceiling for d in draws)
-
-    def test_mean_burst_multiple_exact(self):
-        # alpha=2: E[min(c, 1+Pareto(2))] = 1 + (1 - 1/c); alpha=1 is the
-        # log form 1 + ln(c).
-        assert HeavyTailedArrivals(
-            n=10, lam=0.5, alpha=2.0, burst_cap=20.0
-        ).mean_burst_multiple == pytest.approx(1 + (1 - 1 / 20.0))
-        assert HeavyTailedArrivals(
-            n=10, lam=0.5, alpha=1.0, burst_cap=20.0
-        ).mean_burst_multiple == pytest.approx(1 + np.log(20.0))
-
-    def test_mean_rate_accounts_for_bursts(self):
-        arrivals = HeavyTailedArrivals(n=10, lam=0.5, burst_prob=0.1, burst_scale=0.5)
-        assert arrivals.mean_rate == pytest.approx(
-            0.5 + 0.1 * 0.5 * arrivals.mean_burst_multiple
-        )
-
-    def test_seeded_determinism(self):
-        arrivals = HeavyTailedArrivals(n=200, lam=0.5, burst_prob=0.3)
-        a = [arrivals.arrivals(t, np.random.default_rng(9)) for t in range(1, 20)]
-        b = [arrivals.arrivals(t, np.random.default_rng(9)) for t in range(1, 20)]
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=1.5)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=0.5, burst_prob=0.0)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=0.5, burst_prob=1.5)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=0.5, alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=0.5, burst_scale=0.0)
-        with pytest.raises(ConfigurationError):
-            HeavyTailedArrivals(n=10, lam=0.5, burst_cap=0.5)
-
-
-class TestFactoryElasticKinds:
-    def test_heavy_tailed_kind(self):
-        arrivals = make_arrivals("heavy_tailed", 10, 0.5, burst_prob=0.2)
-        assert isinstance(arrivals, HeavyTailedArrivals)
-        assert arrivals.burst_prob == 0.2
-
-    def test_diurnal_kind_builds_stochastic(self):
-        arrivals = make_arrivals("diurnal", 10, 0.5, amplitude=0.2, period=24)
-        assert isinstance(arrivals, StochasticDiurnalArrivals)
-        assert arrivals.base == 0.5
-
-    def test_unknown_kind_lists_diurnal(self):
-        with pytest.raises(ConfigurationError, match="diurnal"):
-            make_arrivals("weird", 10, 0.5)
